@@ -19,8 +19,6 @@ setup(
     install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
     extras_require={
         "dev": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"],
-        # Opt-in compiled kernel tier; everything degrades to numpy without it.
-        "compiled": ["numba>=0.58"],
     },
     entry_points={"console_scripts": ["crowdfusion = repro.cli:main"]},
 )

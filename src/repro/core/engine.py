@@ -249,7 +249,6 @@ class CrowdFusionEngine:
         self._parallel = parallel
         self._recalibrate = recalibrate_resolved
         self._persistent_pool = persistent_resolved
-        self._kernel = runtime.kernel if runtime is not None else "auto"
 
     @property
     def budget(self) -> int:
@@ -315,9 +314,7 @@ class CrowdFusionEngine:
         session = RefinementSession(
             distribution,
             self._crowd,
-            runtime=RuntimeOptions(
-                recalibrate=self._recalibrate, kernel=self._kernel
-            ),
+            runtime=RuntimeOptions(recalibrate=self._recalibrate),
             parallel=self._parallel if self._persistent_pool else None,
         )
         try:

@@ -1,8 +1,8 @@
 """The vectorized, incremental entropy engine behind every selector.
 
 One greedy iteration of Algorithm 1 evaluates ``H(T ∪ {f})`` for every
-remaining candidate ``f``.  The engine makes a single evaluation cheap by
-combining three ideas:
+remaining candidate ``f``.  The engine makes those evaluations cheap by
+combining four ideas:
 
 1. **Vectorized preprocessing** — the output support is held once as
    contiguous NumPy arrays (masks, probabilities, and one 0/1 column per
@@ -20,6 +20,21 @@ combining three ideas:
    ``B₀ = B − B₁``, and the answer distribution of ``T ∪ {f}`` is the pair
    ``(acc_f·B₁ + (1−acc_f)·B₀, (1−acc_f)·B₁ + acc_f·B₀)`` interleaved — one
    ``O(w·2^w)`` transform per candidate instead of rebuilding everything.
+
+4. **A candidate axis** — one call scores a whole candidate list.  Every
+   candidate's true mass lands in its own slice of one ``np.bincount`` (keys
+   ``combined + c·(cells << width)``), the channel butterflies and the
+   candidate channels run over a leading candidate axis, and one per-row
+   reduction yields every entropy, so a greedy iteration pays numpy's
+   per-call overhead once instead of once per candidate.  The scan also
+   keeps each candidate's answer table, so committing the winner
+   (:meth:`EntropyEngine.extend`) reuses it instead of convolving again.
+   Sub-batches are sized so that ``candidates × max(support rows, table
+   entries)`` stays at or below :data:`_SCAN_STACK_LIMIT`; a one-candidate
+   sub-batch reads ``state.combined`` and the cached weighted column
+   without copying.  Every bin, butterfly and row reduction sees exactly
+   the floats a one-candidate scan sees, so scores do not depend on how a
+   list is split.
 
 The channels need not be uniform: the engine accepts any
 :class:`~repro.core.crowd.ChannelModel`, keeping one ``(acc_i, 1 − acc_i)``
@@ -42,7 +57,7 @@ over an entire multi-round run instead of rebuilding it after every merge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +72,6 @@ from repro.core.entropy import (
     entropy_bits,
     project_columns,
 )
-from repro.core.kernels import KernelSet, resolve_kernels, warmup
 from repro.core.utility import crowd_entropy
 from repro.exceptions import SelectionError
 
@@ -76,9 +90,18 @@ _MAX_TASK_BITS = 24
 #: results are unchanged either way.
 _WEIGHTED_CACHE_MAX_SUPPORT = 1 << 18
 
-#: Placeholder passed to the fused scan kernels for uniform channel models
-#: (a kernel signature takes the per-bit accuracy vector unconditionally).
-_NO_BIT_ACCURACIES = np.empty(0, dtype=np.float64)
+#: Most stacked elements one candidate sub-batch may hold: candidates ×
+#: max(support rows, ``cells << width`` table entries).  Small supports stack
+#: dozens of candidates per bincount.  A 2^17-row support scans one candidate
+#: at a time: 8-candidate stacks there measured 2.5x slower per iteration and
+#: raised the service's peak RSS by 18%, while one-candidate sub-batches cost
+#: the same as separate scans.
+_SCAN_STACK_LIMIT = 1 << 16
+
+#: Most answer-table entries a scan keeps for :meth:`EntropyEngine.extend` to
+#: reuse (over all candidates, 8 MB of float64).  Larger scans drop their
+#: tables and the winner is convolved again on commit.
+_SCAN_KEEP_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -122,6 +145,49 @@ class SelectionState:
     bit_accuracies: Optional[np.ndarray] = None
 
 
+@dataclass(frozen=True)
+class CandidateScan:
+    """One :meth:`EntropyEngine.extension_entropies` call's scores.
+
+    Attributes
+    ----------
+    state:
+        The state that was extended.  :meth:`EntropyEngine.extend` reuses
+        the scan's tables only when committing into this very object.
+    fact_ids:
+        The scored candidates, in call order.
+    task_entropies:
+        ``H(T ∪ {f})`` per candidate, aligned with ``fact_ids``.
+    joint_entropies:
+        ``H(I, T ∪ {f})`` per candidate (equal to ``task_entropies`` for
+        engines without interest cells).
+    tables:
+        Per candidate, the ``(num_cells, 2**(width + 1))`` answer table of
+        ``T ∪ {f}`` with the candidate's answer in the least significant
+        bit — what :attr:`SelectionState.table` of the extended state holds.
+        ``None`` when the scan was too large to keep them
+        (:data:`_SCAN_KEEP_LIMIT`).
+    """
+
+    state: SelectionState
+    fact_ids: Tuple[str, ...]
+    task_entropies: List[float]
+    joint_entropies: List[float]
+    tables: Optional[Tuple[np.ndarray, ...]]
+
+
+def _row_entropies(masses: np.ndarray) -> np.ndarray:
+    """Shannon entropy (base 2) of every row of a 2-D mass array.
+
+    Non-positive entries contribute zero (never NaN), like
+    :func:`~repro.core.entropy.entropy_bits`.
+    """
+    logs = np.zeros_like(masses)
+    np.log2(masses, out=logs, where=masses > 0.0)
+    logs *= masses
+    return -logs.sum(axis=1)
+
+
 class EntropyEngine:
     """Vectorized evaluator of answer-set entropies over one distribution.
 
@@ -137,12 +203,6 @@ class EntropyEngine:
         Optional facts of interest.  When given, states additionally track
         ``H(I, T)`` so query-based utilities ``Q(I|T) = H(T) − H(I, T)`` come
         from the same cached table.
-    kernel:
-        Kernel-tier request resolved through
-        :func:`repro.core.kernels.resolve_kernels` — ``auto`` (the default;
-        env-overridable via ``REPRO_KERNEL``), ``compiled``, ``numpy`` or
-        ``reference``.  Selections are identical across tiers; the compiled
-        tier fuses each per-candidate scan into one native call.
     packed:
         Support-mask layout override.  ``None`` (the default) keeps the
         ``int64`` column up to 63 facts and switches to packed uint64 bit
@@ -161,13 +221,11 @@ class EntropyEngine:
         distribution: JointDistribution,
         crowd: ChannelModel,
         interest_ids: Optional[Sequence[str]] = None,
-        kernel: str = "auto",
         packed: Optional[bool] = None,
     ):
         self._distribution = distribution
         self._crowd = crowd
         self._uniform = crowd.uniform_accuracy
-        self._kernels: KernelSet = resolve_kernels(kernel)
         if packed is None:
             packed = distribution.num_facts > 63
         if packed:
@@ -238,20 +296,6 @@ class EntropyEngine:
         bit-plane array beyond (``shape[0]`` is the support size either way).
         """
         return self._masks
-
-    @property
-    def kernel_tier(self) -> str:
-        """The resolved kernel tier scoring this engine's candidate scans."""
-        return self._kernels.tier
-
-    def warmup_kernels(self) -> None:
-        """Force-compile this engine's kernel tier (no-op past the first call).
-
-        The parallel evaluators call this in the parent process immediately
-        before forking worker pools, so JIT compilation happens exactly once
-        and the workers inherit the machine code through copy-on-write.
-        """
-        warmup(self._kernels)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -343,7 +387,6 @@ class EntropyEngine:
         view._distribution = self._distribution
         view._crowd = self._crowd
         view._uniform = self._uniform
-        view._kernels = self._kernels
         view._masks = self._masks
         view._probabilities = self._probabilities
         # The bit columns are channel- and probability-independent, so the
@@ -441,81 +484,110 @@ class EntropyEngine:
         )
 
     def _convolve_extension(
-        self, state: SelectionState, fact_id: str
-    ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Channel tables ``(A_false, A_true)`` of ``T ∪ {fact_id}`` + its accuracy.
+        self, state: SelectionState, fact_ids: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Answer tables and entropies of ``T ∪ {f}`` for one sub-batch.
 
-        ``A_true[c, a]`` is the joint mass of cell ``c``, selected-answer
-        vector ``a`` and a "true" answer for the candidate; ``A_false``
-        likewise for a "false" answer.
+        Returns ``(answers, task_entropies, joint_entropies)``.  ``answers``
+        has shape ``(C, num_cells, 2**width, 2)``: ``answers[c, i, a, 1]`` is
+        the joint mass of cell ``i``, selected-answer vector ``a`` and a
+        "true" answer for candidate ``c``, index ``0`` likewise for "false" —
+        so ``answers[c]`` reshaped to ``(num_cells, 2**(width + 1))`` is the
+        extended state's table.
         """
         width = state.width
+        count = len(fact_ids)
+        cells = self._num_cells
+        stride = cells << width
+        if count == 1:
+            keys = state.combined
+            weights = self.weighted_bits(fact_ids[0])
+        else:
+            # Candidate c's rows land in bins [c·stride, (c+1)·stride), in
+            # support order, so every bin sums exactly what a one-candidate
+            # bincount sums.
+            offsets = np.arange(0, count * stride, stride, dtype=np.int64)
+            keys = (state.combined + offsets[:, None]).reshape(-1)
+            weights = np.concatenate([self.weighted_bits(f) for f in fact_ids])
         grouped_true = np.bincount(
-            state.combined,
-            weights=self.weighted_bits(fact_id),
-            minlength=self._num_cells << width,
-        ).reshape(self._num_cells, 1 << width)
+            keys, weights=weights, minlength=count * stride
+        ).reshape(count * cells, 1 << width)
         if self._uniform is not None:
             channeled_true = bsc_transform_rows(grouped_true, width, self._uniform)
             accuracy = self._uniform
         else:
             channeled_true = channel_transform_rows(grouped_true, state.bit_accuracies)
-            accuracy = self.accuracy_for(fact_id)
+            accuracy = np.array(
+                [self.accuracy_for(fact_id) for fact_id in fact_ids]
+            ).reshape(count, 1, 1)
+        channeled_true = channeled_true.reshape(count, cells, 1 << width)
         # Linearity of the channel: Chan(grouped_false) = Chan(grouped) − Chan(grouped_true).
         # The subtraction can leave ~1e-16 negative residue; clamp it so the
-        # entropy kernel treats it as the zero it mathematically is.
+        # entropy reduction treats it as the zero it mathematically is.
         channeled_false = state.table - channeled_true
         np.maximum(channeled_false, 0.0, out=channeled_false)
         error = 1.0 - accuracy
-        answer_true = accuracy * channeled_true + error * channeled_false
-        answer_false = error * channeled_true + accuracy * channeled_false
-        return answer_false, answer_true, accuracy
+        answers = np.empty((count, cells, 1 << width, 2))
+        answers[..., 0] = error * channeled_true + accuracy * channeled_false
+        answers[..., 1] = accuracy * channeled_true + error * channeled_false
+        joint_entropies = _row_entropies(answers.reshape(count, -1))
+        if cells == 1:
+            return answers, joint_entropies, joint_entropies
+        task_entropies = _row_entropies(answers.sum(axis=1).reshape(count, -1))
+        return answers, task_entropies, joint_entropies
 
     def extension_entropies(
-        self, state: SelectionState, fact_id: str
-    ) -> Tuple[float, float]:
-        """Return ``(H(T ∪ {f}), H(I, T ∪ {f}))`` without mutating the state."""
-        self.evaluations += 1
-        scan = self._kernels.extension_scan
-        if scan is not None:
-            # The fused tiers (compiled / reference) run the whole pipeline —
-            # masked grouping, channel butterflies, candidate channel, both
-            # entropies — as one kernel call with no temporary tables.
-            if self._uniform is not None:
-                uniform_accuracy = self._uniform
-                candidate_accuracy = self._uniform
-                bit_accuracies = _NO_BIT_ACCURACIES
-            else:
-                uniform_accuracy = -1.0
-                candidate_accuracy = self.accuracy_for(fact_id)
-                bit_accuracies = state.bit_accuracies
-            task_entropy, joint_entropy = scan(
-                state.combined,
-                self.bits(fact_id),
-                self._probabilities,
-                state.table.reshape(-1),
-                self._num_cells,
-                state.width,
-                bit_accuracies,
-                uniform_accuracy,
-                candidate_accuracy,
-            )
-            return float(task_entropy), float(joint_entropy)
-        answer_false, answer_true, _ = self._convolve_extension(state, fact_id)
-        joint_entropy = entropy_bits(answer_false) + entropy_bits(answer_true)
-        if self._num_cells == 1:
-            return joint_entropy, joint_entropy
-        task_entropy = entropy_bits(answer_false.sum(axis=0)) + entropy_bits(
-            answer_true.sum(axis=0)
+        self, state: SelectionState, fact_ids: Sequence[str]
+    ) -> CandidateScan:
+        """Score ``H(T ∪ {f})`` and ``H(I, T ∪ {f})`` for every candidate.
+
+        The list is cut into sub-batches of at most
+        :data:`_SCAN_STACK_LIMIT` stacked elements; scores are identical to
+        one-candidate calls however the list is cut.  The state is not
+        mutated.
+        """
+        fact_ids = tuple(fact_ids)
+        self.evaluations += len(fact_ids)
+        cells = self._num_cells
+        per_candidate = max(self._probabilities.shape[0], cells << state.width)
+        batch = max(1, _SCAN_STACK_LIMIT // per_candidate)
+        keep = len(fact_ids) * (cells << (state.width + 1)) <= _SCAN_KEEP_LIMIT
+        task_entropies: List[float] = []
+        joint_entropies: List[float] = []
+        tables: List[np.ndarray] = []
+        for start in range(0, len(fact_ids), batch):
+            chunk = fact_ids[start:start + batch]
+            answers, task, joint = self._convolve_extension(state, chunk)
+            task_entropies.extend(task.tolist())
+            joint_entropies.extend(joint.tolist())
+            if keep:
+                tables.extend(answers.reshape(len(chunk), cells, -1))
+        return CandidateScan(
+            state=state,
+            fact_ids=fact_ids,
+            task_entropies=task_entropies,
+            joint_entropies=joint_entropies,
+            tables=tuple(tables) if keep else None,
         )
-        return task_entropy, joint_entropy
 
     def extension_entropy(self, state: SelectionState, fact_id: str) -> float:
         """Answer-set entropy ``H(T ∪ {f})`` of extending the state by one task."""
-        return self.extension_entropies(state, fact_id)[0]
+        return self.extension_entropies(state, (fact_id,)).task_entropies[0]
 
-    def extend(self, state: SelectionState, fact_id: str) -> SelectionState:
-        """Commit ``fact_id`` into the state, refining the cached partition."""
+    def extend(
+        self,
+        state: SelectionState,
+        fact_id: str,
+        scan: Optional[CandidateScan] = None,
+    ) -> SelectionState:
+        """Commit ``fact_id`` into the state, refining the cached partition.
+
+        ``scan`` may be the :meth:`extension_entropies` result that ranked
+        ``fact_id``; its table and entropies are then reused.  A scan of any
+        other state (or one that kept no tables) is ignored and the
+        extension is convolved afresh — with the same code, so the new state
+        is identical either way.
+        """
         width = state.width + 1
         if width > _MAX_TASK_BITS or (self._num_cells << width) > _MAX_TABLE_ENTRIES:
             raise SelectionError(
@@ -523,33 +595,31 @@ class EntropyEngine:
                 f"or {_MAX_TASK_BITS} tasks ({self._num_cells} cells x 2^{width} "
                 "answer vectors)"
             )
-        answer_false, answer_true, accuracy = self._convolve_extension(state, fact_id)
-        table = np.empty((self._num_cells, 1 << width))
+        if (
+            scan is not None
+            and scan.state is state
+            and scan.tables is not None
+            and fact_id in scan.fact_ids
+        ):
+            index = scan.fact_ids.index(fact_id)
+            table = scan.tables[index]
+            task_entropy = scan.task_entropies[index]
+            joint_entropy = scan.joint_entropies[index]
+        else:
+            answers, task, joint = self._convolve_extension(state, (fact_id,))
+            table = answers.reshape(self._num_cells, -1)
+            task_entropy = float(task[0])
+            joint_entropy = float(joint[0])
         # The new task takes the least significant answer bit, matching the
         # projection refinement below.
-        table[:, 0::2] = answer_false
-        table[:, 1::2] = answer_true
-        joint_entropy = entropy_bits(answer_false) + entropy_bits(answer_true)
-        if self._num_cells == 1:
-            task_entropy = joint_entropy
-        else:
-            task_entropy = entropy_bits(answer_false.sum(axis=0)) + entropy_bits(
-                answer_true.sum(axis=0)
-            )
-        refine = self._kernels.refine_partition
-        if refine is not None:
-            # Integer-only fused refinement — bit-identical to the two
-            # vectorized expressions below.
-            projection, combined = refine(
-                state.projection, self.bits(fact_id), self._cell_index, width
-            )
-        else:
-            projection = (state.projection << 1) | self.bits(fact_id)
-            combined = (self._cell_index << width) | projection
+        projection = (state.projection << 1) | self.bits(fact_id)
+        combined = (self._cell_index << width) | projection
         if state.bit_accuracies is None:
             bit_accuracies = None
         else:
-            bit_accuracies = np.concatenate(([accuracy], state.bit_accuracies))
+            bit_accuracies = np.concatenate(
+                ([self.accuracy_for(fact_id)], state.bit_accuracies)
+            )
         return SelectionState(
             task_ids=state.task_ids + (fact_id,),
             width=width,

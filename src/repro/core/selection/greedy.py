@@ -35,7 +35,7 @@ from repro.core.selection.base import (
     SelectionStats,
     TaskSelector,
 )
-from repro.core.selection.engine import EntropyEngine
+from repro.core.selection.engine import CandidateScan, EntropyEngine
 from repro.core.selection.parallel import (
     ParallelEvaluator,
     ParallelPolicy,
@@ -72,7 +72,7 @@ def run_greedy_on_engine(
     selected set, the tie-breaking and the pruning decisions are bit-for-bit
     those of the serial path.
     """
-    stats = SelectionStats(kernel=engine.kernel_tier)
+    stats = SelectionStats()
     state = engine.initial_state()
     remaining = list(candidates)
     pruned: Set[str] = set()
@@ -89,12 +89,12 @@ def run_greedy_on_engine(
         else:
             active = remaining
         entropies: Optional[List[float]] = None
+        scan: Optional[CandidateScan] = None
         if evaluator is not None:
             entropies = evaluator.evaluate(state, active)
         if entropies is None:
-            entropies = [
-                engine.extension_entropy(state, fact_id) for fact_id in active
-            ]
+            scan = engine.extension_entropies(state, active)
+            entropies = scan.task_entropies
         stats.candidate_evaluations += len(active)
         if state.width:
             # Every evaluation past the first iteration reuses the cached
@@ -133,7 +133,7 @@ def run_greedy_on_engine(
         if gain <= GAIN_TOLERANCE:
             # No candidate improves the expected utility: stop with K* < k.
             break
-        state = engine.extend(state, best_id)
+        state = engine.extend(state, best_id, scan)
         remaining.remove(best_id)
         if not remaining:
             break

@@ -139,9 +139,7 @@ def _refresh_waves(
         fact_ids = [fact_id for _, fact_id in batch]
         entropies = evaluator.evaluate(state, fact_ids)
         if entropies is None:
-            entropies = [
-                engine.extension_entropy(state, fact_id) for fact_id in fact_ids
-            ]
+            entropies = engine.extension_entropies(state, fact_ids).task_entropies
         stats.candidate_evaluations += len(batch)
         if state.width:
             stats.cache_hits += len(batch)
@@ -162,7 +160,7 @@ def run_lazy_greedy_on_engine(
     evaluator: Optional[ParallelEvaluator] = None,
 ) -> SelectionResult:
     """Algorithm 1 with CELF lazy evaluation, on a (possibly warm) engine."""
-    stats = SelectionStats(kernel=engine.kernel_tier)
+    stats = SelectionStats()
     state = engine.initial_state()
     uniform = engine.uniform_accuracy
     uniform_noise = crowd_entropy(uniform) if uniform is not None else 0.0

@@ -457,7 +457,7 @@ def _evaluate_chunk(task_ids: Tuple[str, ...], chunk: Sequence[str]) -> List[flo
         # supervisor turns this into a full rebuild.
         raise WorkerSyncError("parallel worker started without a fork-shared engine")
     state = _replay_state(engine, task_ids)
-    return [engine.extension_entropy(state, fact_id) for fact_id in chunk]
+    return engine.extension_entropies(state, chunk).task_entropies
 
 
 #: Generation header of one persistent-pool dispatch: the parent engine's
@@ -508,7 +508,7 @@ def _evaluate_chunk_persistent(
         raise WorkerSyncError("parallel worker started without a fork-shared engine")
     _sync_worker_engine(engine, header)
     state = _replay_state(engine, task_ids)
-    return [engine.extension_entropy(state, fact_id) for fact_id in chunk]
+    return engine.extension_entropies(state, chunk).task_entropies
 
 
 #: Dispatch header of one multiplexed-pool dispatch: the engine id plus the
@@ -556,7 +556,7 @@ def _evaluate_chunk_multiplexed(
         _WORKER_STATES.pop(engine_id, None)
     state = _advance_state(engine, _WORKER_STATES.get(engine_id), task_ids)
     _WORKER_STATES[engine_id] = state
-    return [engine.extension_entropy(state, fact_id) for fact_id in chunk]
+    return engine.extension_entropies(state, chunk).task_entropies
 
 
 def _supervised_map(pool, procs, worker, chunks, policy: ParallelPolicy):
@@ -778,10 +778,6 @@ class ParallelEvaluator:
             global _FORK_ENGINE, _FORK_RING
             context = multiprocessing.get_context("fork")
             self.workers = self._policy.resolved_workers()
-            # JIT-compile the engine's kernel tier *before* forking: workers
-            # inherit the compiled machine code through copy-on-write memory
-            # instead of each paying its own compile stall mid-dispatch.
-            self._engine.warmup_kernels()
             if self._persistent:
                 # The ring must exist before the fork so workers inherit the
                 # shared mapping; the generation counters pin the fork-time
@@ -1051,10 +1047,7 @@ class EvaluatorPool:
         self.workers = self._policy.resolved_workers()
         for attachment in self._attachments.values():
             # Workers inherit each engine's current posterior and channel;
-            # reset the generation baselines the headers diff against.  The
-            # kernel warmup runs pre-fork for the same copy-on-write reason:
-            # compiled tiers JIT once in the parent, never per worker.
-            attachment.engine.warmup_kernels()
+            # reset the generation baselines the headers diff against.
             attachment.published_reweights = attachment.engine.reweights
             attachment.published_slot = -1
             attachment.fork_channel_swaps = attachment.engine.channel_swaps

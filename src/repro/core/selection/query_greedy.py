@@ -76,7 +76,7 @@ class QueryGreedySelector(TaskSelector):
     def _run_on_engine(
         self, engine: EntropyEngine, k: int, candidates: Sequence[str]
     ) -> SelectionResult:
-        stats = SelectionStats(kernel=engine.kernel_tier)
+        stats = SelectionStats()
         state = engine.initial_state()
         remaining = list(candidates)
         current_utility = state.entropy - state.joint_entropy
@@ -85,11 +85,13 @@ class QueryGreedySelector(TaskSelector):
             stats.iterations += 1
             best_id = None
             best_utility = float("-inf")
-            for fact_id in remaining:
-                stats.candidate_evaluations += 1
-                if state.width:
-                    stats.cache_hits += 1
-                task_entropy, joint_entropy = engine.extension_entropies(state, fact_id)
+            scan = engine.extension_entropies(state, remaining)
+            stats.candidate_evaluations += len(remaining)
+            if state.width:
+                stats.cache_hits += len(remaining)
+            for fact_id, task_entropy, joint_entropy in zip(
+                remaining, scan.task_entropies, scan.joint_entropies
+            ):
                 utility = task_entropy - joint_entropy
                 if utility > best_utility + TIE_TOLERANCE:
                     best_utility = utility
@@ -99,7 +101,7 @@ class QueryGreedySelector(TaskSelector):
             gain = best_utility - current_utility
             if gain <= GAIN_TOLERANCE:
                 break
-            state = engine.extend(state, best_id)
+            state = engine.extend(state, best_id, scan)
             remaining.remove(best_id)
             current_utility = state.entropy - state.joint_entropy
             if not remaining:

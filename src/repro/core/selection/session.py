@@ -88,10 +88,10 @@ def _resolve_runtime(
     runtime: "Optional[RuntimeOptions]",
     evaluator_pool: Optional[EvaluatorPool],
     owner: str,
-) -> "Tuple[bool, Optional[ParallelPolicy], str]":
+) -> "Tuple[bool, Optional[ParallelPolicy]]":
     """Fold the deprecated ``recalibrate`` keyword and ``runtime`` into one
-    ``(recalibrate, session_policy, kernel)`` triple, enforcing the
-    exclusivity rules."""
+    ``(recalibrate, session_policy)`` pair, enforcing the exclusivity
+    rules."""
     if recalibrate is not _UNSET:
         if runtime is not None:
             raise SelectionError(
@@ -105,10 +105,8 @@ def _resolve_runtime(
             stacklevel=3,
         )
     resolved_recalibrate = bool(recalibrate) if recalibrate is not _UNSET else False
-    kernel = "auto"
     if runtime is not None:
         resolved_recalibrate = runtime.recalibrate
-        kernel = runtime.kernel
         if parallel is None:
             parallel = runtime.session_policy
     if evaluator_pool is not None and parallel is not None:
@@ -116,7 +114,7 @@ def _resolve_runtime(
             f"{owner} cannot combine a dedicated parallel policy with a "
             "shared evaluator_pool; the pool already carries its own policy"
         )
-    return resolved_recalibrate, parallel, kernel
+    return resolved_recalibrate, parallel
 
 
 class RefinementSession:
@@ -182,16 +180,14 @@ class RefinementSession:
             raise SelectionError(
                 f"recalibration smoothing must be positive, got {recalibration_smoothing}"
             )
-        recalibrate, parallel, kernel = _resolve_runtime(
+        recalibrate, parallel = _resolve_runtime(
             recalibrate, parallel, runtime, evaluator_pool, "RefinementSession"
         )
         self._initial = distribution
         self._base_channel = channel
         self._channel = channel
         self._interest_ids = tuple(interest_ids) if interest_ids else ()
-        self._engine = EntropyEngine(
-            distribution, channel, interest_ids=interest_ids, kernel=kernel
-        )
+        self._engine = EntropyEngine(distribution, channel, interest_ids=interest_ids)
         self._materialized: Optional[JointDistribution] = distribution
         self._rounds_merged = 0
         self._views: Dict[Tuple[str, ...], EntropyEngine] = {}

@@ -28,10 +28,11 @@ before the acquire, forcing the takeover path).
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import fcntl
 import json
 import os
-import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.exceptions import OrchestrationError
@@ -202,23 +203,34 @@ def read_json(path: str) -> Optional[Dict[str, Any]]:
         return json.loads(handle.read())
 
 
-#: Bounded retries for the in-flux windows of a racing acquire: a lock file
-#: observed empty (holder mid-write) or vanishing (holder mid-takeover).
-_ACQUIRE_ATTEMPTS = 50
-_ACQUIRE_BACKOFF_S = 0.01
+@contextlib.contextmanager
+def _directory_mutex(path: str) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``path``'s directory for the block.
+
+    Serializes every acquirer's check-and-take step.  The kernel drops the
+    lock when its holder exits, so a crash inside the block leaves nothing
+    stale behind, and the directory itself carries the lock: no extra file.
+    """
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # closing the descriptor releases the flock
 
 
 class RunLock:
     """Pid lock file guarding a run directory against concurrent writers.
 
-    ``acquire`` refuses when the recorded pid is alive, takes over when it is
-    dead (a crashed orchestrator must not brick its run directory), and
-    creates its own lock with ``O_CREAT|O_EXCL`` so two racing acquirers
-    serialize in the kernel: exactly one creation succeeds.  Stale-lock
-    takeover is an ``os.rename`` to a per-acquirer graveyard name — again
-    exactly one racer's rename succeeds; the loser re-reads the winner's
-    fresh lock and refuses with a clear error.  ``release`` only removes the
-    lock when it still belongs to this process.
+    ``acquire`` refuses when the recorded pid is alive and takes over when it
+    is dead (a crashed orchestrator must not brick its run directory).  The
+    whole probe — create, read the holder, judge it, replace a stale lock —
+    runs under an exclusive ``flock`` on the run directory, so two racing
+    acquirers serialize: the first takes over a dead-pid lock and writes its
+    own pid before the second looks, and the second refuses with the live
+    winner's pid.  (Renaming the stale file away without that mutex is not
+    enough: the slower racer can rename away the winner's *fresh* lock.)
+    ``release`` only removes the lock when it still belongs to this process.
     """
 
     def __init__(self, path: str) -> None:
@@ -231,43 +243,31 @@ class RunLock:
             # Plant a lock from a guaranteed-dead pid so the takeover path
             # runs deterministically under test.
             atomic_write_json(self.path, {"pid": _dead_pid()})
-        unreadable = 0
-        for attempt in range(_ACQUIRE_ATTEMPTS):
+        with _directory_mutex(self.path):
             if self._try_create():
                 return
             holder_pid = self._holder_pid()
-            if holder_pid is None:
-                # The lock vanished (a racing takeover in flight) or its
-                # creator is between open and write; back off briefly and
-                # look again.  A lock that stays unreadable for half the
-                # retry budget is the debris of a crash inside that window —
-                # fall through and treat it as stale.
-                unreadable += 1
-                if unreadable < _ACQUIRE_ATTEMPTS // 2:
-                    time.sleep(_ACQUIRE_BACKOFF_S)
-                    continue
-                holder_pid = -1
             if holder_pid == os.getpid():
                 self._owned = True  # re-entrant acquire by the same process
                 return
-            if holder_pid > 0 and _pid_alive(holder_pid):
+            if holder_pid is not None and holder_pid > 0 and _pid_alive(holder_pid):
                 raise OrchestrationError(
                     f"run directory is locked by live process {holder_pid} "
                     f"({self.path}); refusing concurrent access"
                 )
-            grave = f"{self.path}.stale.{os.getpid()}.{attempt}"
+            # The holder is dead, the lock is gone (released since the
+            # create), or it is unreadable.  Acquirers write their pid under
+            # the mutex, so an unreadable lock is debris of a crash mid-write,
+            # never a creator in flight: stale either way.
             try:
-                os.rename(self.path, grave)
+                os.unlink(self.path)
             except FileNotFoundError:
-                continue  # another racer already renamed it away
-            try:
-                os.unlink(grave)
-            except OSError:  # pragma: no cover - already reaped
                 pass
-        raise OrchestrationError(
-            f"could not acquire run lock {self.path}: the lock file kept "
-            f"changing hands for {_ACQUIRE_ATTEMPTS} attempts"
-        )
+            if not self._try_create():
+                raise OrchestrationError(
+                    f"could not acquire run lock {self.path}: a writer that "
+                    f"bypasses the directory lock recreated it"
+                )
 
     def _try_create(self) -> bool:
         """Atomically create the lock file; ``True`` when this process now owns it."""

@@ -151,7 +151,6 @@ def _fingerprint(
         "calibration_facts": config.calibration_facts,
         "calibration_repetitions": config.calibration_repetitions,
         "recalibrate": runtime.recalibrate,
-        "kernel": str(runtime.kernel),
     }
 
 

@@ -1,17 +1,17 @@
-"""Cross-tier selection equivalence: every kernel tier, one behaviour.
+"""Scan equivalence across execution layouts: sub-batches, pools, wide supports.
 
-The ladder's contract is that the kernel tier is a pure implementation detail:
-for any corpus, channel model and selector, every tier selects the identical
-task sets and reports entropies within 1e-9.  The ``reference`` tier runs the
-compiled tier's exact loop bodies as plain Python, so these tests validate the
-compiled *algorithm* even on hosts without numba; the ``compiled`` cases
-themselves skip (never fail) where numba is missing.
-
-The wide-fact suite additionally pins the packed representation: a 128-fact
+How the batched scan cuts a candidate list into sub-batches is an
+implementation detail: every selector must pick the identical task sets and
+report the identical objective whether each sub-batch holds one candidate
+or the whole list, and the engine path must agree with the seed's
+pure-Python ``greedy_reference``.  A persistent pool's batched worker scans
+must pick the task sets the serial scan picks.  The wide-fact suite pins the packed representation: a 128-fact
 corpus must run a full select/merge refinement loop with packed uint64 bit
 planes in every hot-path array — no object dtype anywhere — and agree bit for
 bit with the legacy object-dtype engine path (``packed=False``).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,28 +20,17 @@ from repro.core.answers import AnswerSet
 from repro.core.bitplanes import unpack_planes
 from repro.core.crowd import CrowdModel, PerFactChannelModel
 from repro.core.distribution import JointDistribution
-from repro.core.kernels import numba_available
 from repro.core.merging import answer_likelihood_array, merge_answers
+from repro.core.query import Query
 from repro.core.runtime import RuntimeOptions
-from repro.core.selection import (
-    GreedySelector,
-    ParallelPolicy,
-    RefinementSession,
-    get_selector,
-)
+from repro.core.selection import QueryGreedySelector, RefinementSession, get_selector
+from repro.core.selection import engine as engine_module
 from repro.core.selection.engine import EntropyEngine
 from repro.core.selection.greedy import run_greedy_on_engine
 from repro.datasets.scale import ScaleCorpusConfig, generate_scale_distribution
 
 ACCURACY = 0.82
 SELECTORS = ("greedy", "greedy_lazy", "greedy_prune_pre")
-
-#: Tiers exercised unconditionally; ``compiled`` joins where numba imports.
-ALWAYS_TIERS = ("numpy", "reference")
-
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not importable (or JIT disabled)"
-)
 
 
 def sparse_distribution(num_facts, support, seed):
@@ -67,16 +56,6 @@ def heterogeneous_channel(num_facts, seed):
     )
 
 
-def select_on_tier(tier, distribution, crowd, selector_name, k):
-    """One selection driven through a session pinned to ``tier``."""
-    session = RefinementSession(
-        distribution, crowd, runtime=RuntimeOptions(kernel=tier)
-    )
-    result = get_selector(selector_name).select_with_session(session, k)
-    assert result.stats.kernel == tier
-    return result
-
-
 def scripted_answers(task_ids, round_index):
     return AnswerSet.from_mapping(
         {fact_id: (round_index + position) % 2 == 0
@@ -84,35 +63,48 @@ def scripted_answers(task_ids, round_index):
     )
 
 
-class TestTierEquivalence:
+def one_candidate_sub_batches():
+    """Shrink the stack cap so every sub-batch holds exactly one candidate."""
+    return mock.patch.object(engine_module, "_SCAN_STACK_LIMIT", 1)
+
+
+def select_both_layouts(distribution, crowd, selector_name, k):
+    """One selection with default sub-batches and one with single candidates."""
+    def run():
+        session = RefinementSession(distribution, crowd)
+        return get_selector(selector_name).select_with_session(session, k)
+
+    batched = run()
+    with one_candidate_sub_batches():
+        single = run()
+    return batched, single
+
+
+class TestSubBatchLayoutEquivalence:
     @pytest.mark.parametrize("selector_name", SELECTORS)
     @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_reference_matches_numpy_uniform(self, selector_name, seed):
+    def test_one_candidate_sub_batches_match_uniform(self, selector_name, seed):
         distribution = sparse_distribution(14, 384, seed)
-        crowd = CrowdModel(ACCURACY)
-        baseline = select_on_tier("numpy", distribution, crowd, selector_name, 4)
-        other = select_on_tier("reference", distribution, crowd, selector_name, 4)
-        assert other.task_ids == baseline.task_ids
-        assert abs(other.objective - baseline.objective) <= 1e-9
+        batched, single = select_both_layouts(
+            distribution, CrowdModel(ACCURACY), selector_name, 4
+        )
+        assert batched.task_ids == single.task_ids
+        assert batched.objective == single.objective
 
     @pytest.mark.parametrize("selector_name", SELECTORS)
-    def test_reference_matches_numpy_heterogeneous(self, selector_name):
+    def test_one_candidate_sub_batches_match_heterogeneous(self, selector_name):
         distribution = sparse_distribution(12, 256, 5)
         crowd = heterogeneous_channel(12, 6)
-        baseline = select_on_tier("numpy", distribution, crowd, selector_name, 4)
-        other = select_on_tier("reference", distribution, crowd, selector_name, 4)
-        assert other.task_ids == baseline.task_ids
-        assert abs(other.objective - baseline.objective) <= 1e-9
+        batched, single = select_both_layouts(distribution, crowd, selector_name, 4)
+        assert batched.task_ids == single.task_ids
+        assert batched.objective == single.objective
 
-    @pytest.mark.parametrize("tier", ("reference",))
-    def test_multi_round_trajectories_match_numpy(self, tier):
+    def test_multi_round_trajectories_match_one_candidate_sub_batches(self):
         distribution = sparse_distribution(16, 512, 9)
         crowd = CrowdModel(ACCURACY)
 
-        def run(kernel):
-            session = RefinementSession(
-                distribution, crowd, runtime=RuntimeOptions(kernel=kernel)
-            )
+        def run():
+            session = RefinementSession(distribution, crowd)
             selector = get_selector("greedy")
             task_sets = []
             for round_index in range(4):
@@ -121,46 +113,46 @@ class TestTierEquivalence:
                 session.merge(scripted_answers(result.task_ids, round_index))
             return task_sets, session.distribution
 
-        baseline_sets, baseline_posterior = run("numpy")
-        other_sets, other_posterior = run(tier)
-        assert other_sets == baseline_sets
-        baseline_probs = dict(baseline_posterior.items())
-        for mask, probability in other_posterior.items():
-            assert probability == pytest.approx(baseline_probs[mask], abs=1e-12)
+        batched_sets, batched_posterior = run()
+        with one_candidate_sub_batches():
+            single_sets, single_posterior = run()
+        assert single_sets == batched_sets
+        assert dict(single_posterior.items()) == dict(batched_posterior.items())
 
-    @needs_numba
-    @pytest.mark.parametrize("selector_name", SELECTORS)
-    def test_compiled_matches_numpy_uniform(self, selector_name):
-        distribution = sparse_distribution(14, 384, 3)
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_query_greedy_sub_batch_layouts_agree(self, seed):
+        distribution = sparse_distribution(12, 256, seed + 30)
+        crowd = heterogeneous_channel(12, seed + 31)
+        selector = QueryGreedySelector(Query.of(["f0", "f3"]))
+        batched = selector.select(distribution, crowd, 3)
+        with one_candidate_sub_batches():
+            single = selector.select(distribution, crowd, 3)
+        assert batched.task_ids == single.task_ids
+        assert batched.objective == single.objective
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_batched_greedy_matches_pure_python_reference(self, seed):
+        # The seed's dict-arithmetic greedy never touches the engine, so it
+        # is an oracle independent of any scan layout.
+        distribution = sparse_distribution(9, 96, seed + 40)
         crowd = CrowdModel(ACCURACY)
-        baseline = select_on_tier("numpy", distribution, crowd, selector_name, 4)
-        compiled = select_on_tier("compiled", distribution, crowd, selector_name, 4)
-        assert compiled.task_ids == baseline.task_ids
-        assert abs(compiled.objective - baseline.objective) <= 1e-9
-
-    @needs_numba
-    def test_compiled_matches_numpy_heterogeneous(self):
-        distribution = sparse_distribution(12, 256, 7)
-        crowd = heterogeneous_channel(12, 8)
-        baseline = select_on_tier("numpy", distribution, crowd, "greedy", 4)
-        compiled = select_on_tier("compiled", distribution, crowd, "greedy", 4)
-        assert compiled.task_ids == baseline.task_ids
-        assert abs(compiled.objective - baseline.objective) <= 1e-9
+        reference = get_selector("greedy_reference").select(distribution, crowd, 3)
+        batched = get_selector("greedy").select(distribution, crowd, 3)
+        assert batched.task_ids == reference.task_ids
+        assert abs(batched.objective - reference.objective) <= 1e-9
 
 
 @pytest.mark.parallel
 class TestPersistentPoolEquivalence:
-    """Tier equivalence must survive the fork/snapshot-ring runtime."""
+    """Batched worker scans must survive the fork/snapshot-ring runtime."""
 
-    @pytest.mark.parametrize("tier", ALWAYS_TIERS)
-    def test_persistent_pool_matches_serial(self, tier):
+    def test_persistent_pool_matches_serial(self):
         distribution = sparse_distribution(16, 2048, 11)
         crowd = CrowdModel(ACCURACY)
         runtime = RuntimeOptions(
             workers=2,
             persistent_pool=True,
             parallel_threshold=0,
-            kernel=tier,
         )
 
         def run(options):
@@ -173,23 +165,46 @@ class TestPersistentPoolEquivalence:
                     session.merge(scripted_answers(result.task_ids, round_index))
                 return task_sets
 
-        serial_sets = run(RuntimeOptions(kernel=tier))
+        serial_sets = run(RuntimeOptions())
         pooled_sets = run(runtime)
         assert pooled_sets == serial_sets
 
-    @needs_numba
-    def test_persistent_pool_compiled_matches_numpy(self):
+    def test_persistent_pool_lazy_matches_serial(self):
+        # CELF refreshes its stale bounds through the pool when one is
+        # attached, and through the engine's batched scan when not.
+        distribution = sparse_distribution(16, 2048, 13)
+        crowd = heterogeneous_channel(16, 14)
+        runtime = RuntimeOptions(
+            workers=2, persistent_pool=True, parallel_threshold=0
+        )
+
+        def run(options):
+            with RefinementSession(distribution, crowd, runtime=options) as session:
+                return get_selector("greedy_lazy").select_with_session(session, 3)
+
+        serial = run(RuntimeOptions())
+        pooled = run(runtime)
+        assert pooled.task_ids == serial.task_ids
+        assert abs(pooled.objective - serial.objective) <= 1e-9
+
+    def test_persistent_pool_one_candidate_sub_batches_match_default(self):
+        # Forked workers inherit the shrunken cap, so each chunk worker
+        # scores its candidates one sub-batch at a time.
         distribution = sparse_distribution(16, 2048, 12)
         crowd = CrowdModel(ACCURACY)
+        runtime = RuntimeOptions(
+            workers=2, persistent_pool=True, parallel_threshold=0
+        )
 
-        def run(tier):
-            options = RuntimeOptions(
-                workers=2, persistent_pool=True, parallel_threshold=0, kernel=tier
-            )
-            with RefinementSession(distribution, crowd, runtime=options) as session:
-                return get_selector("greedy").select_with_session(session, 3).task_ids
+        def run():
+            with RefinementSession(distribution, crowd, runtime=runtime) as session:
+                return get_selector("greedy").select_with_session(session, 3)
 
-        assert run("compiled") == run("numpy")
+        batched = run()
+        with one_candidate_sub_batches():
+            single = run()
+        assert single.task_ids == batched.task_ids
+        assert abs(single.objective - batched.objective) <= 1e-9
 
 
 WIDE_FACTS = 128
@@ -231,13 +246,10 @@ class TestWideFactPackedPath:
         assert packed_result.task_ids == legacy_result.task_ids
         assert abs(packed_result.objective - legacy_result.objective) <= 1e-9
 
-    @pytest.mark.parametrize("tier", ALWAYS_TIERS)
-    def test_full_refinement_loop_stays_packed(self, tier):
+    def test_full_refinement_loop_stays_packed(self):
         distribution = wide_distribution()
         crowd = CrowdModel(ACCURACY)
-        session = RefinementSession(
-            distribution, crowd, runtime=RuntimeOptions(kernel=tier)
-        )
+        session = RefinementSession(distribution, crowd)
         selector = get_selector("greedy")
         for round_index in range(3):
             result = selector.select_with_session(session, 2)

@@ -12,6 +12,7 @@ import errno
 import json
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from repro.exceptions import OrchestrationError
 from repro.orchestration.journal import (
     JournalWriter,
     RunLock,
+    _directory_mutex,
     atomic_write_json,
     merge_journals,
     read_json,
@@ -213,6 +215,16 @@ class TestRunLock:
         lock.release()
         assert read_json(lock_path) == {"pid": 1}
 
+    def test_unreadable_lock_debris_is_taken_over(self, tmp_path):
+        # A crash between creating the lock and writing the pid leaves a
+        # partial record; it must not brick the run directory.
+        lock_path = str(tmp_path / "lock")
+        with open(lock_path, "w", encoding="utf-8") as handle:
+            handle.write('{"pi')
+        with RunLock(lock_path):
+            assert read_json(lock_path)["pid"] == os.getpid()
+        assert not os.path.exists(lock_path)
+
     def test_same_process_reacquire_is_allowed(self, tmp_path):
         lock_path = str(tmp_path / "lock")
         first = RunLock(lock_path)
@@ -245,8 +257,7 @@ def _race_for_lock(lock_path, barrier, results):
 class TestRunLockTakeoverRace:
     def test_two_resumers_racing_a_dead_pid_lock_serialize(self, tmp_path):
         # A dead-pid lock (the crashed previous orchestrator) with two
-        # resumers arriving at once: the rename-based takeover must let
-        # exactly one win; the other must refuse with the live-process
+        # resumers arriving at once: the takeover must let exactly one win; the other must refuse with the live-process
         # error, never clobber the winner's fresh lock.
         lock_path = str(tmp_path / "lock")
         context = multiprocessing.get_context("fork")
@@ -268,7 +279,64 @@ class TestRunLockTakeoverRace:
             racer.join(timeout=15.0)
         assert [kind for kind, _ in reports] == ["acquired", "refused"]
         (_, winner_pid), (_, refusal) = reports
-        # The loser's error names the live winner, not the dead pid both
-        # racers displaced — proof it observed the winner's fresh lock.
+        # The loser's error names the live winner, not the dead pid the
+        # winner displaced — proof it observed the winner's fresh lock.
         assert f"locked by live process {winner_pid}" in refusal
         assert not os.path.exists(lock_path), "winner released cleanly"
+
+    def test_four_resumers_racing_a_dead_pid_lock_serialize(self, tmp_path):
+        lock_path = str(tmp_path / "lock")
+        context = multiprocessing.get_context("fork")
+        dead = context.Process(target=lambda: None)
+        dead.start()
+        dead.join()
+        atomic_write_json(lock_path, {"pid": dead.pid})
+
+        barrier = context.Barrier(4)
+        results = context.Queue()
+        racers = [
+            context.Process(target=_race_for_lock, args=(lock_path, barrier, results))
+            for _ in range(4)
+        ]
+        for racer in racers:
+            racer.start()
+        reports = sorted(results.get(timeout=15.0) for _ in racers)
+        for racer in racers:
+            racer.join(timeout=15.0)
+        assert [kind for kind, _ in reports] == ["acquired"] + ["refused"] * 3
+        winner_pid = reports[0][1]
+        for _, refusal in reports[1:]:
+            assert f"locked by live process {winner_pid}" in refusal
+        assert not os.path.exists(lock_path), "winner released cleanly"
+
+    def test_acquirer_killed_inside_the_mutex_leaves_nothing_stale(self, tmp_path):
+        # The directory mutex is a kernel flock: SIGKILL of its holder
+        # releases it, so the next resumer is not blocked forever.
+        lock_path = str(tmp_path / "lock")
+        context = multiprocessing.get_context("fork")
+        inside = context.Event()
+
+        def hold_mutex_forever():
+            with _directory_mutex(lock_path):
+                inside.set()
+                time.sleep(60.0)
+
+        holder = context.Process(target=hold_mutex_forever)
+        holder.start()
+        assert inside.wait(timeout=15.0)
+        os.kill(holder.pid, signal.SIGKILL)
+        holder.join(timeout=15.0)
+
+        def acquire_and_release():
+            with RunLock(lock_path):
+                pass
+
+        resumer = context.Process(target=acquire_and_release)
+        resumer.start()
+        resumer.join(timeout=15.0)
+        if resumer.is_alive():  # pragma: no cover - the failure being tested
+            resumer.kill()
+            resumer.join()
+            pytest.fail("acquire blocked on the dead holder's directory mutex")
+        assert resumer.exitcode == 0
+        assert not os.path.exists(lock_path)

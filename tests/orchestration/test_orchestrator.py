@@ -23,8 +23,12 @@ from repro.orchestration import (
     OrchestratorConfig,
     run_checkpointed_experiment,
 )
-from repro.orchestration.journal import read_json, read_records
-from repro.orchestration.orchestrator import CHECKPOINT_NAME, JOURNAL_NAME
+from repro.orchestration.journal import atomic_write_json, read_json, read_records
+from repro.orchestration.orchestrator import (
+    CHECKPOINT_NAME,
+    JOURNAL_NAME,
+    MANIFEST_NAME,
+)
 from repro.testing import faults
 from repro.testing.faults import FaultPlan
 
@@ -146,6 +150,23 @@ class TestRunDirectory:
         with pytest.raises(OrchestrationError, match="fingerprint mismatch"):
             run_checkpointed_experiment(
                 problems, other, OrchestratorConfig(run_dir=run_dir, shards=2, resume=True)
+            )
+
+    def test_resume_refuses_a_manifest_with_a_kernel_tier(self, problems, tmp_path):
+        # Version 1.3.0 wrote the since-deleted kernel tier into the
+        # fingerprint; such a run dir is a different sweep, refused through
+        # the ordinary mismatch message rather than a KeyError.
+        run_dir = str(tmp_path / "run")
+        run_checkpointed_experiment(
+            problems, CONFIG, OrchestratorConfig(run_dir=run_dir, shards=2)
+        )
+        manifest_path = os.path.join(run_dir, MANIFEST_NAME)
+        manifest = read_json(manifest_path)
+        assert "kernel" not in manifest
+        atomic_write_json(manifest_path, dict(manifest, kernel="auto"))
+        with pytest.raises(OrchestrationError, match="fingerprint mismatch"):
+            run_checkpointed_experiment(
+                problems, CONFIG, OrchestratorConfig(run_dir=run_dir, shards=2, resume=True)
             )
 
 
