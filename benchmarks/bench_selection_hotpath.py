@@ -10,7 +10,7 @@ fact sets, comparing implementations of the same algorithm:
 All must select the *identical* task set; the engine paths must beat the
 reference by at least the acceptance-floor factor on the largest scenario.
 
-Seven follow-on suites ride in the same artifact:
+Six follow-on suites ride in the same artifact:
 
 * **heterogeneous channels** — the per-bit 2×2 channel generalisation must
   cost about the same as the uniform BSC path and degenerate to the
@@ -22,13 +22,12 @@ Seven follow-on suites ride in the same artifact:
   rebuild-per-round loop;
 * **parallel sharding** — one greedy selection on a scale corpus
   (``2^20``-row support) with candidate evaluations sharded across a
-  fork-shared worker pool vs. the serial scan (identical selections), plus
-  the auto-serial guard showing the Table-V hot path does not regress;
+  session-owned fork-shared worker pool vs. the serial scan (identical
+  selections), the auto-serial guard showing the Table-V hot path does not
+  regress, and a small multi-round smoke run through the pool's
+  shared-memory snapshot ring;
 * **batched multi-query scoring** — many queries against one entity through
   one session's shared bit-column cache vs. one fresh engine per query;
-* **persistent pools** — multi-round runs comparing PR 4's fork-per-call
-  selector against one session-owned pool fed through the shared-memory
-  snapshot ring (the fork amortisation the persistent runtime exists for);
 * **entity fan-out** — the lock-step quality experiment with whole entities
   fanned out across a fork pool, curves identical to the serial loop.
 
@@ -52,9 +51,9 @@ from repro.core.distribution import JointDistribution
 from repro.core.engine import CrowdFusionEngine
 from repro.core.merging import merge_answers
 from repro.core.query import Query
+from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
     GreedySelector,
-    ParallelPolicy,
     QueryGreedySelector,
     RefinementSession,
     get_selector,
@@ -104,15 +103,10 @@ SCALE_WORKERS = 4
 #: but cannot demonstrate wall-clock wins).
 MIN_PARALLEL_SPEEDUP = 2.0
 
-#: A parallel-configured selector on the small Table-V hot path must stay
-#: within this factor of the plain selector (the auto-serial threshold keeps
-#: it from ever forking there).
+#: A parallel-configured session on the small Table-V hot path must stay
+#: within this factor of a plain session (the auto-serial threshold keeps it
+#: from ever forking there).
 MAX_AUTO_SERIAL_OVERHEAD = 1.05
-
-#: A persistent pool must beat PR 4's fork-per-call path end to end on a
-#: multi-round run by at least this factor — asserted only on hosts with at
-#: least 4 CPUs (single-CPU runners record the scenario with its ``cpus``).
-MIN_PERSISTENT_SPEEDUP = 1.1
 
 #: Entity fan-out must beat the serial lock-step loop by at least this factor
 #: on >=4-CPU hosts (identical curves are asserted everywhere).
@@ -487,19 +481,27 @@ def test_session_reuse_beats_rebuild_per_round():
 # -- parallel sharding on the scale corpus ------------------------------------------
 
 
-def test_parallel_auto_serial_guards_table5_hot_path():
-    """A parallel-configured selector must not regress the small hot path.
+def _select_on_session(distribution, crowd, k, runtime=None):
+    """One greedy selection through a fresh session (owning a pool if asked)."""
+    with RefinementSession(distribution, crowd, runtime=runtime) as session:
+        return session.select(GreedySelector(), k)
 
-    The default :class:`ParallelPolicy` threshold keeps Table-V-sized scans
-    (tens of candidates over a few-thousand-row support) in process, so the
-    only admissible cost is the threshold check itself.
+
+def test_parallel_auto_serial_guards_table5_hot_path():
+    """A parallel-configured session must not regress the small hot path.
+
+    The default ``ParallelPolicy`` threshold keeps Table-V-sized scans (tens
+    of candidates over a few-thousand-row support) in process, so the only
+    admissible cost is the session's pool bookkeeping and the threshold
+    check itself.
     """
     distribution = sparse_distribution(max(NUM_FACTS_GRID))
     crowd = CrowdModel(ACCURACY)
+    runtime = RuntimeOptions(workers=SCALE_WORKERS)
 
-    def timed(selector):
+    def timed(options):
         started = time.perf_counter()
-        result = selector.select(distribution, crowd, K)
+        result = _select_on_session(distribution, crowd, K, options)
         return time.perf_counter() - started, result
 
     # Interleave the two paths so background load drifts both best-of
@@ -507,11 +509,9 @@ def test_parallel_auto_serial_guards_table5_hot_path():
     plain_seconds = guarded_seconds = float("inf")
     plain = guarded = None
     for _ in range(25):
-        seconds, plain = timed(GreedySelector())
+        seconds, plain = timed(None)
         plain_seconds = min(plain_seconds, seconds)
-        seconds, guarded = timed(
-            GreedySelector(parallel=ParallelPolicy(workers=SCALE_WORKERS))
-        )
+        seconds, guarded = timed(runtime)
         guarded_seconds = min(guarded_seconds, seconds)
 
     assert guarded.task_ids == plain.task_ids
@@ -522,9 +522,9 @@ def test_parallel_auto_serial_guards_table5_hot_path():
     entry = {
         "suite": "parallel",
         "description": (
-            "Auto-serial guard: greedy with a 4-worker ParallelPolicy on the "
-            "Table-V hot path (n=18, |O|=512) must stay serial and within "
-            f"{MAX_AUTO_SERIAL_OVERHEAD}x of the plain selector."
+            "Auto-serial guard: greedy through a session owning a 4-worker "
+            "pool on the Table-V hot path (n=18, |O|=512) must stay serial "
+            f"and within {MAX_AUTO_SERIAL_OVERHEAD}x of a plain session."
         ),
         "num_facts": max(NUM_FACTS_GRID),
         "k": K,
@@ -552,12 +552,13 @@ def test_parallel_sharding_on_scale_corpus():
     cpus = os.cpu_count() or 1
 
     started = time.perf_counter()
-    serial = GreedySelector().select(distribution, crowd, k)
+    serial = _select_on_session(distribution, crowd, k)
     serial_seconds = time.perf_counter() - started
 
-    selector = GreedySelector(parallel=ParallelPolicy(workers=SCALE_WORKERS))
     started = time.perf_counter()
-    parallel = selector.select(distribution, crowd, k)
+    parallel = _select_on_session(
+        distribution, crowd, k, RuntimeOptions(workers=SCALE_WORKERS)
+    )
     parallel_seconds = time.perf_counter() - started
 
     assert parallel.task_ids == serial.task_ids
@@ -570,7 +571,7 @@ def test_parallel_sharding_on_scale_corpus():
         "suite": "parallel",
         "description": (
             "One greedy selection (k=3) on the scale corpus: candidate scans "
-            "sharded over a fork-shared 4-worker pool vs. the serial scan. "
+            "sharded over a session-owned 4-worker pool vs. the serial scan. "
             "Selections are bit-for-bit identical; wall-clock speedup is "
             "hardware-bound (recorded cpus)."
         ),
@@ -655,7 +656,7 @@ def test_batched_multi_query_scoring_on_scale_corpus():
     assert speedup > 0.9, entry
 
 
-# -- persistent pools across rounds --------------------------------------------------
+# -- multi-round smoke run on a session-owned pool ---------------------------------
 
 
 def _scripted_answers(task_ids, round_index):
@@ -666,18 +667,27 @@ def _scripted_answers(task_ids, round_index):
     )
 
 
-def _run_refinement_rounds(session, selector, rounds, k):
-    """Select/merge ``rounds`` times on ``session``; return the task sequences."""
+def _run_refinement_rounds(distribution, crowd, rounds, k, runtime=None):
+    """Select/merge ``rounds`` times on one session; return the task sequences."""
     task_sets = []
-    for round_index in range(rounds):
-        result = session.select(selector, k)
-        task_sets.append(result.task_ids)
-        session.merge(_scripted_answers(result.task_ids, round_index))
+    with RefinementSession(distribution, crowd, runtime=runtime) as session:
+        for round_index in range(rounds):
+            result = session.select(GreedySelector(), k)
+            task_sets.append(result.task_ids)
+            session.merge(_scripted_answers(result.task_ids, round_index))
     return task_sets
 
 
-def _persistent_pool_scenario(key, num_facts, support, rounds, k, assert_floor):
-    """Time serial vs fork-per-call vs persistent-pool multi-round runs."""
+@pytest.mark.parallel
+def test_session_pool_smoke():
+    """Tiny multi-round run on a session-owned pool, for ``make bench-smoke``.
+
+    Every scan is forced onto the pool (threshold zero), so each round after
+    the first ships its posterior through the snapshot ring.  Small enough
+    for 2-CPU CI hosts; asserts only the equivalence contract and records
+    the timings (no speedup floor at this size).
+    """
+    num_facts, support, rounds, k = 16, 1 << 12, 3, 2
     rng = np.random.default_rng(SEED)
     masks = rng.choice(1 << num_facts, size=support, replace=False)
     probabilities = rng.uniform(0.05, 1.0, size=support)
@@ -686,98 +696,38 @@ def _persistent_pool_scenario(key, num_facts, support, rounds, k, assert_floor):
         dict(zip((int(mask) for mask in masks), probabilities)),
     )
     crowd = CrowdModel(ACCURACY)
-    # Threshold zero forces every round's scan onto the pool, so the timing
-    # isolates exactly what the persistent mode amortises: the per-round fork.
-    policy = ParallelPolicy(workers=SCALE_WORKERS, parallel_threshold=0)
-    cpus = os.cpu_count() or 1
+    runtime = RuntimeOptions(workers=SCALE_WORKERS, parallel_threshold=0)
 
     def run_serial():
-        return _run_refinement_rounds(
-            RefinementSession(distribution, crowd), GreedySelector(), rounds, k
-        )
+        return _run_refinement_rounds(distribution, crowd, rounds, k)
 
-    def run_fork_per_call():
-        # PR 4's path: the selector owns the policy, so every round's
-        # selection forks (and tears down) its own pool.
-        session = RefinementSession(distribution, crowd)
-        return _run_refinement_rounds(
-            session, GreedySelector(parallel=policy), rounds, k
-        )
+    def run_pooled():
+        return _run_refinement_rounds(distribution, crowd, rounds, k, runtime)
 
-    def run_persistent():
-        with RefinementSession(distribution, crowd, parallel=policy) as session:
-            return _run_refinement_rounds(session, GreedySelector(), rounds, k)
-
-    serial_sets = run_serial()
-    per_call_sets = run_fork_per_call()
-    persistent_sets = run_persistent()
-    assert per_call_sets == serial_sets
-    assert persistent_sets == serial_sets
-
+    assert run_pooled() == run_serial()
     serial_seconds = best_of(run_serial, repeats=2)
-    per_call_seconds = best_of(run_fork_per_call, repeats=2)
-    persistent_seconds = best_of(run_persistent, repeats=2)
-    speedup = per_call_seconds / persistent_seconds
+    pooled_seconds = best_of(run_pooled, repeats=2)
 
     entry = {
-        "suite": "parallel_persistent",
+        "suite": "parallel",
         "description": (
             f"{rounds}-round refinement run (k={k}) with every scan forced "
-            "onto the pool: PR 4's fork-per-call selector (one pool per "
-            "round) vs one session-owned persistent pool fed through the "
-            "shared-memory snapshot ring.  Identical task sequences asserted "
-            "against the serial session path."
+            "onto a session-owned pool fed through the shared-memory "
+            "snapshot ring, vs the serial session.  Identical task sequences "
+            "asserted; the pool's fork dominates at this size."
         ),
         "num_facts": num_facts,
         "support": support,
         "rounds": rounds,
         "k": k,
         "workers": SCALE_WORKERS,
-        "cpus": cpus,
+        "cpus": os.cpu_count() or 1,
         "serial_seconds": serial_seconds,
-        "fork_per_call_seconds": per_call_seconds,
-        "persistent_seconds": persistent_seconds,
-        "fork_per_call_seconds_per_round": per_call_seconds / rounds,
-        "persistent_seconds_per_round": persistent_seconds / rounds,
-        "speedup_persistent_vs_fork_per_call": speedup,
+        "pooled_seconds": pooled_seconds,
+        "pooled_seconds_per_round": pooled_seconds / rounds,
         "identical_task_sequences": True,
     }
-    _record_scenarios({key: entry})
-
-    if assert_floor and cpus >= SCALE_WORKERS:
-        assert speedup >= MIN_PERSISTENT_SPEEDUP, entry
-    return entry
-
-
-@pytest.mark.parallel
-def test_persistent_pool_smoke():
-    """Tiny persistent-pool scenario exercised by ``make bench-smoke``.
-
-    Small enough for 2-CPU CI hosts; asserts only the equivalence contract
-    and records the timings (no speedup floor at this size).
-    """
-    _persistent_pool_scenario(
-        "parallel_persistent/smoke_n16_s4096_r3",
-        num_facts=16,
-        support=1 << 12,
-        rounds=3,
-        k=2,
-        assert_floor=False,
-    )
-
-
-@pytest.mark.slow
-@pytest.mark.parallel
-def test_persistent_pool_amortises_fork_cost():
-    """Multi-round run: the persistent pool must beat fork-per-call wall-clock."""
-    _persistent_pool_scenario(
-        f"parallel_persistent/rounds6_n24_s{1 << 16}_w{SCALE_WORKERS}",
-        num_facts=24,
-        support=1 << 16,
-        rounds=6,
-        k=2,
-        assert_floor=True,
-    )
+    _record_scenarios({f"parallel/smoke_n{num_facts}_s{support}_r{rounds}": entry})
 
 
 # -- cross-entity fan-out ------------------------------------------------------------
@@ -799,7 +749,9 @@ def test_parallel_entities_fan_out():
         selector="greedy", k=2, budget_per_entity=24, worker_accuracy=ACCURACY,
         seed=SEED,
     )
-    fanned_config = replace(config, parallel_entities=SCALE_WORKERS)
+    fanned_config = replace(
+        config, runtime=RuntimeOptions(parallel_entities=SCALE_WORKERS)
+    )
     cpus = os.cpu_count() or 1
 
     serial_result = run_quality_experiment(problems, config)

@@ -4,11 +4,21 @@ Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in
 offline environments where build isolation cannot download setuptools/wheel.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# One version, read from the package, so the two can never disagree.
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
 
 setup(
     name="repro",
-    version="1.1.0",
+    version=VERSION,
     description=(
         "CrowdFusion: a crowdsourced approach on data fusion refinement "
         "(ICDE 2017) — full reproduction"

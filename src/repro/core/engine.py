@@ -28,14 +28,10 @@ from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.runtime import RuntimeOptions
 from repro.core.selection.base import SelectionResult, SelectionStats, TaskSelector
-from repro.core.selection.parallel import ParallelPolicy, fork_available
+from repro.core.selection.parallel import ParallelSelectorMixin
 from repro.core.selection.session import RefinementSession
 from repro.core.utility import pws_quality
-from repro.exceptions import BudgetError, SelectionError
-
-# Sentinel distinguishing "caller explicitly passed the deprecated keyword"
-# from its old default, so the DeprecationWarning only fires on actual use.
-_UNSET: object = object()
+from repro.exceptions import BudgetError
 
 
 class AnswerProvider(Protocol):
@@ -147,31 +143,12 @@ class CrowdFusionEngine:
         Whether facts asked in earlier rounds may be selected again.  The
         paper allows re-asking (the posterior keeps them uncertain if the
         crowd disagreed with the prior), which is the default.
-    parallel:
-        Optional :class:`~repro.core.selection.parallel.ParallelPolicy`
-        applied to the selector (when it supports parallel candidate scans):
-        each round's scan may then be sharded across a fork-shared worker
-        pool, with the policy's auto-serial threshold protecting small runs.
-        When ``runtime`` is given and ``parallel`` is not, the policy is
-        derived from the runtime options.
     runtime:
-        Typed :class:`~repro.core.runtime.RuntimeOptions` carrying the
-        execution knobs (workers, persistent pool, re-calibration) in one
-        validated object — the supported replacement for the deprecated
-        ``recalibrate_channels`` / ``persistent_pool`` booleans.
-    recalibrate_channels:
-        Deprecated — pass ``runtime=RuntimeOptions(recalibrate=True)``.
-        When true, the run's :class:`RefinementSession` re-estimates per-fact
-        channel accuracies from answer/posterior agreement as rounds
-        accumulate (adaptive re-calibration).
-    persistent_pool:
-        Deprecated — pass ``runtime=RuntimeOptions(workers=...,
-        persistent_pool=True)``.  When true (requires ``parallel``), the
-        run's session owns one *persistent* worker pool that survives every
-        round's Bayesian merge — posteriors are shipped to the already-forked
-        workers through a shared-memory snapshot ring — instead of the
-        selector re-forking a pool per selection call.  Needs the ``fork``
-        start method.
+        Typed :class:`~repro.core.runtime.RuntimeOptions` for the run's one
+        :class:`RefinementSession`: ``recalibrate`` turns on adaptive channel
+        re-calibration, and ``workers`` gives the session a worker pool that
+        shards each round's candidate scan (the policy's auto-serial
+        threshold protects small runs) and survives every Bayesian merge.
     """
 
     def __init__(
@@ -181,63 +158,20 @@ class CrowdFusionEngine:
         budget: int,
         tasks_per_round: int,
         reselect_asked_facts: bool = True,
-        parallel: Optional[ParallelPolicy] = None,
-        recalibrate_channels: object = _UNSET,
-        persistent_pool: object = _UNSET,
         runtime: Optional[RuntimeOptions] = None,
     ):
         if budget <= 0:
             raise BudgetError(f"budget must be positive, got {budget}")
         if tasks_per_round <= 0:
             raise BudgetError(f"tasks_per_round must be positive, got {tasks_per_round}")
-        legacy_keywords = [
-            name
-            for name, value in (
-                ("recalibrate_channels", recalibrate_channels),
-                ("persistent_pool", persistent_pool),
-            )
-            if value is not _UNSET
-        ]
-        if legacy_keywords:
-            if runtime is not None:
-                raise SelectionError(
-                    "CrowdFusionEngine received both runtime= and the "
-                    f"deprecated keyword(s) {', '.join(legacy_keywords)}; "
-                    "configure everything on RuntimeOptions"
-                )
-            warnings.warn(
-                f"CrowdFusionEngine({', '.join(legacy_keywords)}=...) is "
-                "deprecated; pass runtime=RuntimeOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        recalibrate_resolved = (
-            bool(recalibrate_channels) if recalibrate_channels is not _UNSET else False
-        )
-        persistent_resolved = (
-            bool(persistent_pool) if persistent_pool is not _UNSET else False
-        )
-        if runtime is not None:
-            recalibrate_resolved = runtime.recalibrate
-            persistent_resolved = runtime.persistent_pool
-            if parallel is None:
-                parallel = runtime.parallel_policy
-        if persistent_resolved:
-            if parallel is None:
-                raise SelectionError(
-                    "persistent_pool requires a parallel policy (pass "
-                    "parallel=ParallelPolicy(...) alongside persistent_pool=True)"
-                )
-            if not fork_available():
-                raise SelectionError(
-                    "persistent worker pools need the 'fork' start method, "
-                    "which this platform does not provide; drop "
-                    "persistent_pool or run on a fork-capable OS"
-                )
-        if parallel is not None and not hasattr(selector, "parallel"):
+        if (
+            runtime is not None
+            and runtime.workers is not None
+            and not isinstance(selector, ParallelSelectorMixin)
+        ):
             warnings.warn(
                 f"selector {type(selector).__name__} does not support parallel "
-                "candidate scans; the parallel policy is ignored",
+                "candidate scans; the runtime's workers are ignored",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -246,9 +180,7 @@ class CrowdFusionEngine:
         self._budget = budget
         self._tasks_per_round = tasks_per_round
         self._reselect = reselect_asked_facts
-        self._parallel = parallel
-        self._recalibrate = recalibrate_resolved
-        self._persistent_pool = persistent_resolved
+        self._runtime = runtime
 
     @property
     def budget(self) -> int:
@@ -284,43 +216,14 @@ class CrowdFusionEngine:
         collect = getattr(answer_provider, "collect", None)
         if collect is None:
             collect = answer_provider
-
-        # Apply the engine's parallel policy for the duration of this run
-        # only: the selector object belongs to the caller and may serve other
-        # engines with different (or no) policies.  With a persistent pool
-        # the session owns the policy instead, so the selector is untouched.
-        if (
-            self._parallel is not None
-            and not self._persistent_pool
-            and hasattr(self._selector, "parallel")
-        ):
-            previous_policy = self._selector.parallel
-            self._selector.parallel = self._parallel
-            try:
-                return self._run_rounds(distribution, collect, round_callback)
-            finally:
-                self._selector.parallel = previous_policy
-        return self._run_rounds(distribution, collect, round_callback)
-
-    def _run_rounds(
-        self,
-        distribution: JointDistribution,
-        collect: Callable[[Sequence[str]], AnswerSet],
-        round_callback: Optional[Callable[[RoundRecord, JointDistribution], None]],
-    ) -> EngineResult:
         result = EngineResult(
             initial_distribution=distribution, final_distribution=distribution
         )
-        session = RefinementSession(
-            distribution,
-            self._crowd,
-            runtime=RuntimeOptions(recalibrate=self._recalibrate),
-            parallel=self._parallel if self._persistent_pool else None,
-        )
+        session = RefinementSession(distribution, self._crowd, runtime=self._runtime)
         try:
             return self._refine(session, result, collect, round_callback)
         finally:
-            # Releases the persistent worker pool (a no-op for serial runs)
+            # Releases the session's worker pool (a no-op for serial runs)
             # even when a selector or the answer provider raises mid-round.
             session.close()
 

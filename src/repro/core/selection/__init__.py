@@ -26,17 +26,18 @@ persistent :class:`RefinementSession` that amortises one engine across the
 rounds of a multi-round refinement (``TaskSelector.select_with_session``).
 :class:`SessionPool` keys such sessions by entity for batched experiments.
 
-The greedy family additionally accepts a :class:`ParallelPolicy`: candidate
-scans past a work threshold are sharded across a fork-shared
-``multiprocessing`` pool (:mod:`repro.core.selection.parallel`) with
-selections bit-for-bit identical to the serial path, and sessions score many
-queries in one batch off shared cached bit columns
-(``RefinementSession.select_queries``).  A :class:`RefinementSession` built
-with a parallel policy owns a *persistent* worker pool for its whole
-multi-round run: reweighted posteriors are shipped to the long-lived workers
-through a shared-memory snapshot ring (and channel swaps are replayed),
-instead of the pool being re-forked after every merge.  The CELF lazy
-selector shards its refresh loop in batch waves through the same evaluator.
+Sessions can also shard the greedy family's candidate scans: a
+:class:`RefinementSession` built with ``RuntimeOptions(workers=N)`` (or
+attached to a shared :class:`EvaluatorPool`) scores scans past a work
+threshold on a fork-shared ``multiprocessing`` pool
+(:mod:`repro.core.selection.parallel`) with selections bit-for-bit identical
+to the serial path.  The pool lives for the whole multi-round run:
+reweighted posteriors are shipped to the long-lived workers through a
+shared-memory snapshot ring (and channel swaps are replayed) instead of the
+pool being re-forked after every merge.  The CELF lazy selector shards its
+refresh loop in batch waves through the same evaluator, and sessions score
+many queries in one batch off shared cached bit columns
+(``RefinementSession.select_queries``).
 """
 
 from repro.core.selection.base import SelectionResult, SelectionStats, TaskSelector
@@ -46,7 +47,7 @@ from repro.core.selection.fact_entropy import FactEntropySelector
 from repro.core.selection.greedy import GreedySelector
 from repro.core.selection.lazy import LazyGreedySelector
 from repro.core.selection.parallel import (
-    ParallelEvaluator,
+    EvaluatorPool,
     ParallelPolicy,
     ParallelSelectorMixin,
 )
@@ -64,10 +65,10 @@ from repro.core.selection.session import RefinementSession, SessionPool
 __all__ = [
     "BruteForceSelector",
     "EntropyEngine",
+    "EvaluatorPool",
     "FactEntropySelector",
     "GreedySelector",
     "LazyGreedySelector",
-    "ParallelEvaluator",
     "ParallelPolicy",
     "ParallelSelectorMixin",
     "PreprocessingGreedySelector",

@@ -249,7 +249,7 @@ class EntropyEngine:
         self.reweights = 0
         #: Number of channel-model swaps applied (:meth:`set_channel` calls).
         #: Together with :attr:`reweights` this is the engine's *generation*:
-        #: persistent pool workers compare both counters against the parent's
+        #: pool workers compare both counters against the parent's
         #: to decide whether their inherited state needs a re-sync.
         self.channel_swaps = 0
 
@@ -442,7 +442,7 @@ class EntropyEngine:
     def load_probabilities(self, probabilities: np.ndarray, reweights: int) -> None:
         """Replace the probability vector verbatim with a peer's snapshot.
 
-        The persistent-pool sync primitive: a fork-inherited worker engine
+        The pool-worker sync primitive: a fork-inherited worker engine
         catches up with its parent by copying the parent's already-normalised
         posterior byte for byte (no renormalisation, so every later float
         operation is bit-identical to the parent's) and adopting the parent's

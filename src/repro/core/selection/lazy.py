@@ -25,7 +25,7 @@ Heterogeneous channels fold the per-task noise into the tracked gain itself
 still bounded by one bit), so the CELF bound logic is unchanged; uniform
 models keep the original raw-gain arithmetic bit-for-bit.
 
-With a :class:`~repro.core.selection.parallel.ParallelEvaluator` the refresh
+With a :class:`~repro.core.selection.parallel.PooledEvaluator` the refresh
 loop runs in **waves**: instead of popping one stale entry at a time, a batch
 of entries whose bounds clear the current cut-off is popped together and
 scored through the evaluator's worker pool.  Waves may refresh a few more
@@ -40,7 +40,7 @@ falls out of the same re-rank, with the refresh work sharded across cores.
 
 Like the other greedy variants, the scan runs on a vectorized incremental
 engine that may be built fresh per call or borrowed warm from a
-:class:`~repro.core.selection.session.RefinementSession` (whose persistent
+:class:`~repro.core.selection.session.RefinementSession` (whose worker
 pool, when configured, also serves the refresh waves).
 """
 
@@ -59,7 +59,7 @@ from repro.core.selection.base import (
 )
 from repro.core.selection.engine import EntropyEngine, SelectionState
 from repro.core.selection.greedy import GAIN_TOLERANCE
-from repro.core.selection.parallel import ParallelEvaluator, ParallelSelectorMixin
+from repro.core.selection.parallel import ParallelSelectorMixin, PooledEvaluator
 from repro.core.utility import crowd_entropy
 
 #: A single binary answer carries at most one bit, so 1.0 upper-bounds every
@@ -104,11 +104,11 @@ def _refresh_waves(
     heap: List[tuple],
     stats: SelectionStats,
     uniform: Optional[float],
-    evaluator: ParallelEvaluator,
+    evaluator: PooledEvaluator,
 ) -> List[list]:
     """Batch-refresh CELF: pop stale entries in waves, score them in parallel.
 
-    Each wave pops up to :meth:`ParallelEvaluator.refresh_batch_size` entries
+    Each wave pops up to :meth:`PooledEvaluator.refresh_batch_size` entries
     whose stale bounds clear the *current* cut-off and scores the whole batch
     through the evaluator.  A wave may overshoot the strictly sequential
     refresh set (the cut-off only tightens as results come back); see the
@@ -157,7 +157,7 @@ def run_lazy_greedy_on_engine(
     engine: EntropyEngine,
     k: int,
     candidates: Sequence[str],
-    evaluator: Optional[ParallelEvaluator] = None,
+    evaluator: Optional[PooledEvaluator] = None,
 ) -> SelectionResult:
     """Algorithm 1 with CELF lazy evaluation, on a (possibly warm) engine."""
     stats = SelectionStats()
@@ -213,14 +213,10 @@ def run_lazy_greedy_on_engine(
 class LazyGreedySelector(ParallelSelectorMixin, TaskSelector):
     """Algorithm 1 with CELF lazy evaluation of submodular marginal gains.
 
-    Parameters
-    ----------
-    parallel:
-        Optional :class:`~repro.core.selection.parallel.ParallelPolicy`: the
-        CELF refresh loop then runs in batch waves scored through a worker
-        pool (see the module docstring), with selections identical to the
-        sequential heap.  Sessions owning a persistent evaluator serve the
-        waves from their long-lived pool.
+    Against a :class:`~repro.core.selection.session.RefinementSession` with a
+    worker pool, the CELF refresh loop runs in batch waves scored through the
+    pool (see the module docstring), with selections identical to the
+    sequential heap.
     """
 
     name = "greedy_lazy"
@@ -230,7 +226,7 @@ class LazyGreedySelector(ParallelSelectorMixin, TaskSelector):
         engine: EntropyEngine,
         k: int,
         candidates: Sequence[str],
-        evaluator: Optional[ParallelEvaluator],
+        evaluator: Optional[PooledEvaluator],
     ) -> SelectionResult:
         return run_lazy_greedy_on_engine(engine, k, candidates, evaluator=evaluator)
 
@@ -241,9 +237,7 @@ class LazyGreedySelector(ParallelSelectorMixin, TaskSelector):
         k: int,
         candidates: Sequence[str],
     ) -> SelectionResult:
-        return self._scan(
-            EntropyEngine(distribution, crowd), k, candidates, self._runner
-        )
+        return self._runner(EntropyEngine(distribution, crowd), k, candidates, None)
 
     def _select_with_session(self, session, k, candidates) -> SelectionResult:
         return self._scan(
@@ -251,5 +245,5 @@ class LazyGreedySelector(ParallelSelectorMixin, TaskSelector):
             k,
             candidates,
             self._runner,
-            shared_evaluator=session.shared_evaluator(),
+            session.shared_evaluator(),
         )

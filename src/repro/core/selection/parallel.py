@@ -8,12 +8,13 @@ scan embarrassingly parallel, and on scale corpora (supports past ``2^20``,
 hundreds of candidate facts) the scan is the system bottleneck the paper's
 Table V measures.
 
-This module shards the scan across a ``multiprocessing`` pool:
+This module shards the scan across one kind of worker pool, the
+:class:`EvaluatorPool`:
 
 * **Fork-inherited shared memory** — the pool is created with the ``fork``
-  start method *after* the live engine has been published to a module global,
-  so every worker inherits the engine's read-only state (support masks,
-  probability vector, cached per-fact bit columns, interest cells) via
+  start method *after* its engine registry has been published to a module
+  global, so every worker inherits each engine's read-only state (support
+  masks, probability vector, cached per-fact bit columns, interest cells) via
   copy-on-write pages.  Nothing about the support is ever pickled; the only
   data crossing process boundaries are fact-id chunks going out and float
   entropies coming back.
@@ -26,48 +27,41 @@ This module shards the scan across a ``multiprocessing`` pool:
   is deterministic over the shared arrays, the replayed state is bit-for-bit
   the parent's state, so every worker-computed entropy is exactly the float
   the serial scan would have produced.
-* **Chunked dispatch with an auto-serial policy** — candidates are dispatched
-  in order-preserving chunks (several per worker, for load balance), and a
-  :class:`ParallelPolicy` decides per iteration whether parallelism pays at
-  all: below a work threshold (candidates × support rows) the evaluator
-  reports "serial" and the caller runs the ordinary in-process scan, so
-  small Table-V-sized rounds never pay the fork or IPC overhead.
-
-* **Persistent pools across rounds** — a fork is only free of state shipping
-  while the engine's posterior matches the fork-time snapshot, which is why
-  the per-call evaluator re-forks after every ``EntropyEngine.reweight``.
-  The *persistent* mode instead keeps one pool alive for a whole multi-round
-  refinement run and ships each round's posterior through a
+* **Posterior snapshots instead of re-forks** — one pool lives for a whole
+  multi-round refinement run and ships each round's posterior through a
   :class:`multiprocessing.shared_memory` ring of probability snapshots
   (:class:`_SnapshotRing`): the parent writes the reweighted (already
   normalised) vector into the next ring slot, and every dispatch carries a
-  tiny generation header ``(reweights, slot, channel_swaps, channel)``.  A
+  tiny header ``(engine id, reweights, slot, channel_swaps, channel)``.  A
   worker whose inherited engine is behind copies the snapshot byte for byte
   (:meth:`EntropyEngine.load_probabilities` — no renormalisation, so all
   later float operations stay bit-identical to the parent's) and replays any
   ``set_channel`` swap (adaptive re-calibration) from the header, then
-  rebuilds its selection state exactly as on first contact.  Fork cost is
-  paid once per run instead of once per round.
+  rebuilds its selection state exactly as on first contact.
+* **Many engines per pool** — every attached engine gets a small integer
+  engine id and its own snapshot ring, so one worker pool serves interleaved
+  rounds of any number of refinement sessions.  Engines attached *after* the
+  fork mark the pool stale; the next dispatch re-forks once with the full
+  registry.
+* **Chunked dispatch with an auto-serial policy** — candidates are dispatched
+  in order-preserving chunks (several per worker, for load balance), and a
+  :class:`ParallelPolicy` decides per scan whether parallelism pays at all:
+  below a work threshold (candidates × support rows) the evaluator reports
+  "serial" and the caller runs the ordinary in-process scan, so small
+  Table-V-sized rounds never pay the fork or IPC overhead.
 
-* **Multiplexed pools across engines** — a persistent pool still binds one
-  fork pool to one engine, which on a multi-tenant server means one pool per
-  live session.  An :class:`EvaluatorPool` instead multiplexes *many* engines
-  onto one shared persistent fork pool: every attached engine gets a small
-  integer **engine id** and its own snapshot ring, workers inherit the whole
-  ``{engine id: engine}`` registry at fork time, and each dispatch header
-  carries the engine id alongside the generation counters, so one worker
-  pool serves interleaved rounds of any number of refinement sessions.
-  Engines attached *after* the fork mark the pool stale; the next dispatch
-  re-forks once with the full registry (one fork per tenant-join wave,
-  amortised over every tenant's rounds, instead of one pool per tenant).
-  Per-engine selection states are replayed exactly as in the single-engine
-  persistent mode, so scores stay bit-for-bit serial-identical.
+Whoever builds a pool closes it.  A
+:class:`~repro.core.selection.session.RefinementSession` built with
+``RuntimeOptions(workers=N)`` builds a one-attachment pool and closes it in
+``close()``; a session given ``evaluator_pool=`` only attaches to a pool its
+caller owns (the experiment runner's one pool per run, the service's engine
+group).
 
 Selection results are **bit-for-bit identical** to the serial path by
-construction: the parallel evaluator returns one entropy per candidate in
-candidate order, and the caller replays the exact serial ranking loop
-(same ``TIE_TOLERANCE`` first-index-wins comparison, same pruning bound)
-over those values.
+construction: the evaluator returns one entropy per candidate in candidate
+order, and the caller replays the exact serial ranking loop (same
+``TIE_TOLERANCE`` first-index-wins comparison, same pruning bound) over
+those values.
 """
 
 from __future__ import annotations
@@ -109,46 +103,34 @@ DEFAULT_PARALLEL_THRESHOLD = 1 << 22
 #: cached-partition width), few enough that IPC stays negligible.
 _CHUNKS_PER_WORKER = 4
 
-#: Slots in a persistent pool's shared-memory snapshot ring.  ``pool.map`` is
+#: Slots in each engine's shared-memory snapshot ring.  ``pool.map`` is
 #: synchronous, so one slot would suffice for correctness; a small ring keeps
 #: the parent from overwriting the page a straggling worker is still reading
 #: if dispatch ever becomes asynchronous.
 _SNAPSHOT_SLOTS = 4
 
-#: Published engine the pool workers inherit at fork time.  Set by
-#: :meth:`ParallelEvaluator._ensure_pool` immediately before the fork and
-#: cleared right after: the parent never keeps a module-level reference, the
-#: children each keep their inherited copy.
-_FORK_ENGINE: Optional[EntropyEngine] = None
-
-#: Published snapshot ring of a *persistent* pool, inherited the same way.
-#: The underlying shared-memory mapping is ``MAP_SHARED``, so parent writes
-#: after the fork are visible to every worker.
-_FORK_RING: Optional["_SnapshotRing"] = None
-
-#: Per-worker replayed selection state (lives only in pool worker processes).
-_WORKER_STATE: Optional[SelectionState] = None
-
-#: Published engine registry of a *multiplexed* pool (:class:`EvaluatorPool`),
-#: inherited the same way: workers keep their fork-time copy of every
+#: Published engine registry of an :class:`EvaluatorPool`.  Set immediately
+#: before the fork and cleared right after: the parent never keeps a
+#: module-level reference, and workers keep their fork-time copy of every
 #: attached engine, keyed by the engine id shipped in each dispatch header.
 _FORK_ENGINES: Optional[Dict[int, EntropyEngine]] = None
 
-#: Published per-engine snapshot rings of a multiplexed pool.
+#: Published per-engine snapshot rings, inherited the same way.  The
+#: underlying shared-memory mappings are ``MAP_SHARED``, so parent writes
+#: after the fork are visible to every worker.
 _FORK_RING_MAP: Optional[Dict[int, "_SnapshotRing"]] = None
 
-#: Per-worker replayed selection states of a multiplexed pool, one per engine
-#: id (lives only in pool worker processes).
+#: Per-worker replayed selection states, one per engine id (lives only in
+#: pool worker processes).
 _WORKER_STATES: Dict[int, SelectionState] = {}
 
 #: Serialises every set-globals → fork → clear-globals sequence across *all*
-#: :class:`ParallelEvaluator` and :class:`EvaluatorPool` instances.  The
-#: per-instance locks are not enough: a multi-pool service dispatches from
-#: several executor threads, and two pools forking concurrently would race on
-#: the module globals above — pool B overwriting (or clearing) them between
-#: pool A publishing its registry and A's fork completing, so A's workers
-#: could inherit B's engines under A's per-pool engine ids and silently score
-#: another tenant's posterior.
+#: :class:`EvaluatorPool` instances.  The per-instance locks are not enough:
+#: a multi-pool service dispatches from several executor threads, and two
+#: pools forking concurrently would race on the module globals above — pool
+#: B overwriting (or clearing) them between pool A publishing its registry
+#: and A's fork completing, so A's workers could inherit B's engines under
+#: A's per-pool engine ids and silently score another tenant's posterior.
 _FORK_PUBLISH_LOCK = threading.Lock()
 
 
@@ -161,12 +143,12 @@ class WorkerSyncError(SelectionError):
     """A pool worker found its fork-inherited state unusable for a dispatch.
 
     Raised *inside* workers when the fork contract is broken: no inherited
-    engine (the worker was respawned by the pool's maintenance thread rather
-    than our supervised fork), no snapshot ring, or a generation header that
-    advanced the channel generation without shipping the channel model (a
-    torn/corrupt header).  The supervisor treats it exactly like a worker
-    death — rebuild the pool — because the worker's state cannot be trusted
-    to produce serial-identical scores.
+    engine registry (the worker was respawned by the pool's maintenance
+    thread rather than our supervised fork), no engine for the header's
+    engine id, or a header that advanced the channel generation without
+    shipping the channel model (a torn/corrupt header).  The supervisor
+    treats it exactly like a worker death — rebuild the pool — because the
+    worker's state cannot be trusted to produce serial-identical scores.
     """
 
 
@@ -185,18 +167,24 @@ class WorkerCrashError(SelectionError):
 # Shared-memory leak guard.
 #
 # A snapshot ring's /dev/shm segment is normally unlinked by ``close()`` when
-# the owning evaluator/pool shuts down.  A parent killed by SIGTERM (container
-# stop, supervisor restart) never reaches that path — SIGTERM's default
-# disposition skips ``atexit`` entirely — and would orphan one segment per
-# live ring until the resource tracker complains at its own exit.  Every ring
-# registers itself here at creation; the guard reaps whatever is still alive
-# at interpreter exit *and* on SIGTERM (chaining to the previous handler so
+# the owning pool shuts down.  A parent killed by SIGTERM (container stop,
+# supervisor restart) never reaches that path — SIGTERM's default disposition
+# skips ``atexit`` entirely — and would orphan one segment per live ring
+# until the resource tracker complains at its own exit.  Every ring registers
+# itself here at creation; the guard reaps whatever is still alive at
+# interpreter exit *and* on SIGTERM (chaining to the previous handler so
 # embedding applications keep their own shutdown behaviour).
 #
-# Both paths are owner-pid-guarded: pool workers fork-inherit the registry
-# and the signal handler, and ``Pool.terminate`` SIGTERMs them — without the
-# pid check a dying worker would unlink the parent's *live* segment out from
-# under every other worker.
+# Pool workers must not keep the inherited Python-level SIGTERM handler:
+# ``Pool.terminate`` SIGTERMs workers that may be blocked in ``sem_wait`` on
+# the task queue's lock, and a Python handler only runs once the interpreter
+# gets back to bytecode — a worker blocked there would absorb the signal and
+# stay alive until the teardown watchdog SIGKILLs it.  The pool initializer
+# (:func:`restore_default_sigterm`) therefore restores the default disposition.
+# Both reap paths stay owner-pid-guarded all the same: other forked children
+# (the orchestrator's shard processes) still inherit the handler and the
+# registry, and without the pid check a dying child would unlink the
+# parent's *live* segments.
 # ---------------------------------------------------------------------------------------
 
 _LIVE_RINGS: "weakref.WeakSet[_SnapshotRing]" = weakref.WeakSet()
@@ -281,8 +269,20 @@ def _ensure_ring_guard() -> None:
         _PREV_SIGTERM = previous
 
 
+def restore_default_sigterm() -> None:
+    """Fork-pool initializer: let ``Pool.terminate``'s SIGTERM kill the worker.
+
+    See the leak-guard comment above: a fork-inherited Python-level handler
+    cannot run while the worker is blocked in ``sem_wait``, so the worker
+    would outlive a graceful teardown.  Every ``multiprocessing.Pool`` forked
+    from a process that may hold snapshot rings passes this as its
+    ``initializer``.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 class _SnapshotRing:
-    """A shared-memory ring of posterior snapshots for one persistent pool.
+    """A shared-memory ring of posterior snapshots for one engine's pool slot.
 
     One float64 row per slot, each the full support-aligned probability
     vector.  The parent owns the segment: it publishes a reweighted posterior
@@ -440,90 +440,25 @@ def _advance_state(
     return state
 
 
-def _replay_state(engine: EntropyEngine, task_ids: Tuple[str, ...]) -> SelectionState:
-    """Rebuild the parent's selection state inside a single-engine pool worker."""
-    global _WORKER_STATE
-    _WORKER_STATE = _advance_state(engine, _WORKER_STATE, task_ids)
-    return _WORKER_STATE
+#: Header of one pool dispatch: the engine id, the parent engine's
+#: ``reweights`` counter, the ring slot its posterior snapshot occupies, its
+#: ``channel_swaps`` counter, and the current channel model (``None`` while
+#: no swap has happened since the fork).
+_DispatchHeader = Tuple[int, int, int, int, Optional[ChannelModel]]
 
 
-def _evaluate_chunk(task_ids: Tuple[str, ...], chunk: Sequence[str]) -> List[float]:
-    """Worker entry point: ``H(T ∪ {f})`` for every candidate in ``chunk``."""
-    faults.fire("worker_dispatch")
-    engine = _FORK_ENGINE
-    if engine is None:
-        # A respawned worker (the pool's maintenance thread replaced a dead
-        # one) never went through our supervised fork and has no engine; the
-        # supervisor turns this into a full rebuild.
-        raise WorkerSyncError("parallel worker started without a fork-shared engine")
-    state = _replay_state(engine, task_ids)
-    return engine.extension_entropies(state, chunk).task_entropies
-
-
-#: Generation header of one persistent-pool dispatch: the parent engine's
-#: ``reweights`` counter, the ring slot its posterior snapshot occupies,
-#: its ``channel_swaps`` counter, and the current channel model (``None``
-#: while no swap has happened since the fork).
-_SyncHeader = Tuple[int, int, int, Optional[ChannelModel]]
-
-
-def _sync_worker_engine(engine: EntropyEngine, header: _SyncHeader) -> None:
-    """Catch a fork-inherited worker engine up with the parent's generation.
-
-    A stale posterior is loaded byte for byte from the shared snapshot ring; a
-    stale channel model is replayed through ``set_channel`` (the same call the
-    parent's session made).  Either sync invalidates the worker's replayed
-    selection state — its cached tables embed the old probabilities and
-    channel accuracies — so the next :func:`_replay_state` restarts from the
-    empty state, exactly as on first contact after a fork.
-    """
-    global _WORKER_STATE
-    reweights, slot, channel_swaps, channel = header
-    if reweights != engine.reweights:
-        ring = _FORK_RING
-        if ring is None:
-            raise WorkerSyncError(
-                "persistent parallel worker has no fork-shared snapshot ring"
-            )
-        engine.load_probabilities(ring.read(slot), reweights)
-        _WORKER_STATE = None
-    if channel_swaps != engine.channel_swaps:
-        if channel is None:
-            raise WorkerSyncError(
-                "persistent pool header advanced the channel generation "
-                "without shipping the channel model"
-            )
-        engine.set_channel(channel)
-        engine.channel_swaps = channel_swaps
-        _WORKER_STATE = None
-
-
-def _evaluate_chunk_persistent(
-    header: _SyncHeader, task_ids: Tuple[str, ...], chunk: Sequence[str]
+def _evaluate_chunk(
+    header: _DispatchHeader, task_ids: Tuple[str, ...], chunk: Sequence[str]
 ) -> List[float]:
-    """Persistent-pool worker entry point: sync generations, then score."""
-    faults.fire("worker_dispatch")
-    engine = _FORK_ENGINE
-    if engine is None:
-        raise WorkerSyncError("parallel worker started without a fork-shared engine")
-    _sync_worker_engine(engine, header)
-    state = _replay_state(engine, task_ids)
-    return engine.extension_entropies(state, chunk).task_entropies
+    """Pool worker entry point: route by engine id, sync, score.
 
-
-#: Dispatch header of one multiplexed-pool dispatch: the engine id plus the
-#: same generation fields a single-engine persistent dispatch carries.
-_MuxHeader = Tuple[int, int, int, int, Optional[ChannelModel]]
-
-
-def _evaluate_chunk_multiplexed(
-    header: _MuxHeader, task_ids: Tuple[str, ...], chunk: Sequence[str]
-) -> List[float]:
-    """Multiplexed-pool worker entry point: route by engine id, sync, score.
-
-    The engine id selects one of the fork-inherited engines; the rest of the
-    header is the usual generation sync (posterior snapshot from that
-    engine's ring, channel replay).  Per-engine replayed states live in
+    The engine id selects one of the fork-inherited engines.  A stale
+    posterior is loaded byte for byte from that engine's snapshot ring; a
+    stale channel model is replayed through ``set_channel`` (the same call
+    the parent's session made).  Either sync invalidates the worker's
+    replayed selection state — its cached tables embed the old probabilities
+    and channel accuracies — so it restarts from the empty state, exactly as
+    on first contact after a fork.  Per-engine replayed states live in
     :data:`_WORKER_STATES`, so interleaved dispatches for different tenants
     never invalidate each other's incremental state.
     """
@@ -532,14 +467,13 @@ def _evaluate_chunk_multiplexed(
     rings = _FORK_RING_MAP
     if engines is None or rings is None:
         raise WorkerSyncError(
-            "multiplexed parallel worker started without a fork-shared "
-            "engine registry"
+            "pool worker started without a fork-shared engine registry"
         )
     engine_id, reweights, slot, channel_swaps, channel = header
     engine = engines.get(engine_id)
     if engine is None:
         raise WorkerSyncError(
-            f"multiplexed worker has no fork-inherited engine {engine_id} "
+            f"pool worker has no fork-inherited engine {engine_id} "
             "(the pool should have re-forked after the attach)"
         )
     if reweights != engine.reweights:
@@ -548,8 +482,8 @@ def _evaluate_chunk_multiplexed(
     if channel_swaps != engine.channel_swaps:
         if channel is None:
             raise WorkerSyncError(
-                "multiplexed pool header advanced the channel generation "
-                "without shipping the channel model"
+                "dispatch header advanced the channel generation without "
+                "shipping the channel model"
             )
         engine.set_channel(channel)
         engine.channel_swaps = channel_swaps
@@ -653,251 +587,14 @@ def _teardown_pool(pool, procs, grace: float = _TEARDOWN_GRACE) -> None:
         )
 
 
-class ParallelEvaluator:
-    """Shards one engine's candidate evaluations across a fork pool.
-
-    By default the evaluator is scoped to one selection call: the pool is
-    forked lazily on the first iteration whose scan clears the policy
-    threshold (so the engine's probability vector is current at fork time)
-    and reused for the remaining iterations of that call.  Use as a context
-    manager so the pool is always reclaimed — even when a selector raises
-    mid-scan.
-
-    With ``persistent=True`` the evaluator instead survives across rounds of
-    a multi-round refinement run (it is then owned by a
-    :class:`~repro.core.selection.session.RefinementSession`): before the
-    fork it allocates a shared-memory :class:`_SnapshotRing`, and every
-    dispatch carries a generation header so workers re-sync their inherited
-    engine with the parent's reweighted posterior and swapped channel model
-    instead of the pool being re-forked.
-
-    Attributes
-    ----------
-    workers:
-        Worker processes actually forked (0 while every scan stayed serial).
-    chunk_size:
-        Chunk size of the most recent parallel dispatch (0 if none).
-    parallel_evaluations:
-        Total candidate evaluations served by the pool (cumulative over the
-        evaluator's lifetime, i.e. over all rounds for a persistent pool).
-    worker_crashes:
-        Dispatches the supervisor aborted (dead worker, hung dispatch, or a
-        desynchronised worker).
-    pool_rebuilds:
-        Transparent pool rebuilds performed after a crashed dispatch.
-    breaker_trips:
-        Circuit-breaker trips (at most one: a tripped evaluator stays serial).
-    """
-
-    def __init__(
-        self,
-        engine: EntropyEngine,
-        policy: ParallelPolicy,
-        persistent: bool = False,
-    ):
-        if policy.resolved_workers() >= 2 and not fork_available():
-            warnings.warn(
-                "this platform has no fork start method, so the configured "
-                "parallel policy cannot engage; all candidate scans will run "
-                "serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        self._engine = engine
-        self._policy = policy
-        self._persistent = persistent
-        self._pool = None
-        self._procs: Tuple = ()
-        self._ring: Optional[_SnapshotRing] = None
-        self._published_reweights = 0
-        self._published_slot = -1
-        self._fork_channel_swaps = 0
-        self._broken = False
-        self.workers = 0
-        self.chunk_size = 0
-        self.parallel_evaluations = 0
-        self.worker_crashes = 0
-        self.pool_rebuilds = 0
-        self.breaker_trips = 0
-
-    @property
-    def persistent(self) -> bool:
-        """Whether this evaluator survives posterior reweights between scans."""
-        return self._persistent
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the circuit breaker has pinned this evaluator to serial."""
-        return self._broken
-
-    def __enter__(self) -> "ParallelEvaluator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Terminate the worker pool and release the snapshot ring (idempotent)."""
-        try:
-            if self._pool is not None:
-                _teardown_pool(self._pool, self._procs)
-                self._pool = None
-        finally:
-            self._procs = ()
-            if self._ring is not None:
-                self._ring.close()
-                self._ring = None
-
-    def _discard_pool(self) -> None:
-        """Tear down a crashed pool (and its ring) ahead of a rebuild."""
-        self.close()
-
-    def refresh_batch_size(self) -> int:
-        """Candidates a lazy (CELF) selector should refresh per wave.
-
-        Enough to hand every worker its configured chunk share, so a wave
-        that clears the policy threshold saturates the pool; small enough
-        that lazy evaluation still skips the long tail of stale candidates.
-        """
-        workers = self._policy.resolved_workers()
-        chunk = self._policy.chunk_size or _CHUNKS_PER_WORKER
-        return max(1, workers * chunk)
-
-    def would_parallelise(self, num_candidates: int) -> bool:
-        """Whether a scan of ``num_candidates`` would engage the pool.
-
-        Lets batching callers (the CELF wave loop) avoid assembling a batch
-        that :meth:`evaluate` would only hand back for in-process scoring.
-        """
-        return self._policy.should_parallelise(
-            num_candidates, self._engine.support_masks.shape[0]
-        )
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            global _FORK_ENGINE, _FORK_RING
-            context = multiprocessing.get_context("fork")
-            self.workers = self._policy.resolved_workers()
-            if self._persistent:
-                # The ring must exist before the fork so workers inherit the
-                # shared mapping; the generation counters pin the fork-time
-                # state every worker starts from.
-                self._ring = _SnapshotRing(self._engine.probabilities.shape[0])
-                self._published_reweights = self._engine.reweights
-                self._published_slot = -1
-                self._fork_channel_swaps = self._engine.channel_swaps
-            # Publish the engine (and ring) for the duration of the fork
-            # only: workers inherit them through copy-on-write memory, the
-            # parent keeps no module-level reference.  The module lock keeps
-            # another evaluator (on another thread) from clobbering the
-            # globals mid-fork.
-            with _FORK_PUBLISH_LOCK:
-                _FORK_ENGINE = self._engine
-                _FORK_RING = self._ring
-                try:
-                    self._pool = context.Pool(processes=self.workers)
-                finally:
-                    _FORK_ENGINE = None
-                    _FORK_RING = None
-            # Snapshot the freshly forked workers for the supervisor.  Later
-            # snapshots would be useless: the pool's maintenance thread swaps
-            # dead workers out of ``_pool`` for respawns that never inherited
-            # the engine, erasing the evidence of the death.
-            self._procs = tuple(self._pool._pool)
-        return self._pool
-
-    def _sync_header(self) -> _SyncHeader:
-        """Publish any pending posterior snapshot; return the dispatch header."""
-        engine = self._engine
-        if engine.reweights != self._published_reweights:
-            self._published_slot = self._ring.publish(
-                engine.reweights, engine.probabilities
-            )
-            self._published_reweights = engine.reweights
-        channel = (
-            engine.crowd
-            if engine.channel_swaps != self._fork_channel_swaps
-            else None
-        )
-        return (
-            engine.reweights,
-            self._published_slot,
-            engine.channel_swaps,
-            channel,
-        )
-
-    def evaluate(
-        self, state: SelectionState, candidates: Sequence[str]
-    ) -> Optional[List[float]]:
-        """Score all ``candidates`` against ``state``, in candidate order.
-
-        Returns ``None`` when the policy elects the serial path for this scan
-        (too little work, too few workers, no ``fork`` support, or a tripped
-        circuit breaker); the caller then runs its ordinary in-process loop.
-
-        Dispatches are supervised: a crashed or hung worker aborts the
-        dispatch, the pool is rebuilt from the engine's *current* state (so
-        the retried scan is still bit-identical to serial), and after
-        ``policy.max_rebuilds`` consecutive failures the breaker degrades
-        this evaluator to serial for good — never an error to the caller.
-        """
-        support_size = self._engine.support_masks.shape[0]
-        if not self._policy.should_parallelise(len(candidates), support_size):
-            return None
-        if self._broken:
-            return None
-        chunk_size = self._policy.resolved_chunk_size(len(candidates))
-        self.chunk_size = chunk_size
-        chunks = [
-            list(candidates[start:start + chunk_size])
-            for start in range(0, len(candidates), chunk_size)
-        ]
-        crashes = 0
-        while True:
-            pool = self._ensure_pool()
-            directive = faults.fire("pool_dispatch")
-            if self._persistent:
-                header = self._sync_header()
-                if directive == "corrupt_header":
-                    reweights, slot, channel_swaps, _channel = header
-                    header = (reweights, slot, channel_swaps + 1, None)
-                worker = partial(_evaluate_chunk_persistent, header, state.task_ids)
-            else:
-                worker = partial(_evaluate_chunk, state.task_ids)
-            try:
-                scored = _supervised_map(pool, self._procs, worker, chunks, self._policy)
-            except WorkerCrashError as crash:
-                crashes += 1
-                self.worker_crashes += 1
-                self._discard_pool()
-                if crashes > self._policy.max_rebuilds:
-                    self._broken = True
-                    self.breaker_trips += 1
-                    _LOGGER.warning(
-                        "circuit breaker tripped after %d crashed dispatches; "
-                        "degrading to serial evaluation (%s)",
-                        crashes,
-                        crash,
-                    )
-                    return None
-                self.pool_rebuilds += 1
-                _LOGGER.warning(
-                    "pool dispatch crashed (%s); rebuilding pool (attempt %d/%d)",
-                    crash,
-                    crashes,
-                    self._policy.max_rebuilds,
-                )
-                continue
-            self.parallel_evaluations += len(candidates)
-            return [entropy for part in scored for entropy in part]
-
-
 @dataclass
 class _Attachment:
-    """Parent-side bookkeeping for one engine multiplexed onto a shared pool."""
+    """Parent-side bookkeeping for one engine attached to a pool."""
 
     engine: EntropyEngine
-    ring: _SnapshotRing
+    #: Created by the first fork that includes this engine, so engines whose
+    #: scans never clear the policy threshold never allocate shared memory.
+    ring: Optional[_SnapshotRing] = None
     #: Last posterior generation published into the ring (fork-time value
     #: until the first post-fork reweight — workers inherited that posterior).
     published_reweights: int = 0
@@ -905,22 +602,19 @@ class _Attachment:
     #: Channel generation the workers inherited at fork; the channel model is
     #: shipped in the header only while the engine has swapped past it.
     fork_channel_swaps: int = 0
-    #: Candidate evaluations served by the shared pool for this engine.
-    served: int = 0
 
 
 class EvaluatorPool:
-    """One persistent fork pool shared by many engines (one per tenant).
+    """One persistent fork pool serving any number of engines.
 
-    The multi-tenant counterpart of a persistent :class:`ParallelEvaluator`:
-    instead of one worker pool per engine, any number of engines are
-    :meth:`attach`-ed to one pool, each identified by a small integer engine
-    id that every dispatch header carries.  Workers inherit the whole engine
-    registry (plus one snapshot ring per engine) at fork time; generation
-    sync then works exactly as in the single-engine persistent mode, but per
-    engine id — so interleaved selections from many refinement sessions share
+    Engines are :meth:`attach`-ed to the pool, each identified by a small
+    integer engine id that every dispatch header carries.  Workers inherit
+    the whole engine registry (plus one snapshot ring per engine) at fork
+    time and sync each engine's posterior and channel generation from the
+    header — so interleaved selections from many refinement sessions share
     one set of worker processes, and each session's scores stay bit-for-bit
-    identical to its serial path.
+    identical to its serial path.  A session-owned pool is simply a pool
+    with one attachment.
 
     Attaching an engine *after* the pool has forked marks the pool stale: the
     next dispatch tears the old pool down and forks once with the full
@@ -965,7 +659,7 @@ class EvaluatorPool:
 
     @property
     def attached(self) -> int:
-        """Number of engines currently multiplexed onto this pool."""
+        """Number of engines currently attached to this pool."""
         with self._lock:
             return len(self._attachments)
 
@@ -989,10 +683,7 @@ class EvaluatorPool:
         with self._lock:
             engine_id = self._next_id
             self._next_id += 1
-            self._attachments[engine_id] = _Attachment(
-                engine=engine,
-                ring=_SnapshotRing(engine.probabilities.shape[0]),
-            )
+            self._attachments[engine_id] = _Attachment(engine=engine)
             if self._pool is not None:
                 # The running workers never inherited this engine; re-fork
                 # lazily on the next dispatch that needs the pool.
@@ -1008,7 +699,7 @@ class EvaluatorPool:
         """
         with self._lock:
             attachment = self._attachments.pop(engine_id, None)
-            if attachment is not None:
+            if attachment is not None and attachment.ring is not None:
                 attachment.ring.close()
             if not self._attachments:
                 self._terminate_pool()
@@ -1017,7 +708,8 @@ class EvaluatorPool:
         """Detach every engine and terminate the worker pool (idempotent)."""
         with self._lock:
             for attachment in self._attachments.values():
-                attachment.ring.close()
+                if attachment.ring is not None:
+                    attachment.ring.close()
             self._attachments.clear()
             self._terminate_pool()
 
@@ -1046,8 +738,14 @@ class EvaluatorPool:
         context = multiprocessing.get_context("fork")
         self.workers = self._policy.resolved_workers()
         for attachment in self._attachments.values():
-            # Workers inherit each engine's current posterior and channel;
-            # reset the generation baselines the headers diff against.
+            # The ring must exist before the fork so workers inherit the
+            # shared mapping.  Workers inherit each engine's current
+            # posterior and channel; reset the generation baselines the
+            # headers diff against.
+            if attachment.ring is None:
+                attachment.ring = _SnapshotRing(
+                    attachment.engine.probabilities.shape[0]
+                )
             attachment.published_reweights = attachment.engine.reweights
             attachment.published_slot = -1
             attachment.fork_channel_swaps = attachment.engine.channel_swaps
@@ -1065,7 +763,9 @@ class EvaluatorPool:
                 for engine_id, attachment in self._attachments.items()
             }
             try:
-                self._pool = context.Pool(processes=self.workers)
+                self._pool = context.Pool(
+                    processes=self.workers, initializer=restore_default_sigterm
+                )
             finally:
                 _FORK_ENGINES = None
                 _FORK_RING_MAP = None
@@ -1075,7 +775,7 @@ class EvaluatorPool:
         self._stale = False
         return self._pool
 
-    def _header(self, engine_id: int, attachment: _Attachment) -> _MuxHeader:
+    def _header(self, engine_id: int, attachment: _Attachment) -> _DispatchHeader:
         """Publish any pending snapshot; return the dispatch header."""
         engine = attachment.engine
         if engine.reweights != attachment.published_reweights:
@@ -1102,16 +802,16 @@ class EvaluatorPool:
         """Score ``candidates`` for one attached engine, in candidate order.
 
         Returns ``(entropies, chunk_size)``; entropies are ``None`` when the
-        policy elects the serial path for this scan (the caller then runs its
-        ordinary in-process loop, exactly as with a dedicated evaluator) and
-        when the shared pool's circuit breaker has tripped.
+        policy elects the serial path for this scan (too little work, too few
+        workers, no ``fork`` support) and when the circuit breaker has
+        tripped; the caller then runs its ordinary in-process loop.
 
-        Dispatches are supervised exactly as on a dedicated evaluator: a
-        crash rebuilds the whole shared pool (every attachment's generation
-        baselines reset to its engine's current state, so every tenant's
-        recovered scans stay bit-identical to serial), and repeated failures
-        degrade the pool to serial for all tenants rather than erroring any
-        of them.
+        Dispatches are supervised: a crashed, hung or desynchronised worker
+        aborts the dispatch and the whole pool is rebuilt (every attachment's
+        generation baselines reset to its engine's current state, so every
+        tenant's recovered scans stay bit-identical to serial).  After
+        ``policy.max_rebuilds`` consecutive failures the breaker degrades the
+        pool to serial for all tenants — never an error to any caller.
         """
         with self._lock:
             try:
@@ -1139,7 +839,7 @@ class EvaluatorPool:
                 if directive == "corrupt_header":
                     hdr_engine_id, reweights, slot, channel_swaps, _channel = header
                     header = (hdr_engine_id, reweights, slot, channel_swaps + 1, None)
-                worker = partial(_evaluate_chunk_multiplexed, header, state.task_ids)
+                worker = partial(_evaluate_chunk, header, state.task_ids)
                 try:
                     scored = _supervised_map(
                         pool, self._procs, worker, chunks, self._policy
@@ -1169,21 +869,21 @@ class EvaluatorPool:
                         self._policy.max_rebuilds,
                     )
                     continue
-                attachment.served += len(candidates)
                 self.dispatches += 1
                 break
         return [entropy for part in scored for entropy in part], chunk_size
 
 
 class PooledEvaluator:
-    """One engine's handle on a shared :class:`EvaluatorPool`.
+    """One engine's handle on an :class:`EvaluatorPool`.
 
-    Satisfies the evaluator interface the session-aware greedy family
-    consumes (``evaluate`` / ``would_parallelise`` / ``refresh_batch_size``
-    plus the ``workers`` / ``chunk_size`` / ``parallel_evaluations``
-    counters), so a :class:`~repro.core.selection.session.RefinementSession`
-    can hand it out exactly like a dedicated persistent
-    :class:`ParallelEvaluator`.  Closing the facade detaches only this engine.
+    The evaluator interface the session-aware greedy family consumes
+    (``evaluate`` / ``would_parallelise`` / ``refresh_batch_size`` plus the
+    ``workers`` / ``chunk_size`` / ``parallel_evaluations`` counters), handed
+    out by :meth:`RefinementSession.shared_evaluator
+    <repro.core.selection.session.RefinementSession.shared_evaluator>`.
+    Closing the facade detaches only this engine; the pool's supervision
+    counters stay on :attr:`pool`.
     """
 
     def __init__(self, pool: EvaluatorPool, engine_id: int, engine: EntropyEngine):
@@ -1196,9 +896,9 @@ class PooledEvaluator:
         self.parallel_evaluations = 0
 
     @property
-    def persistent(self) -> bool:
-        """Pooled evaluators always survive reweights (the pool outlives them)."""
-        return True
+    def pool(self) -> EvaluatorPool:
+        """The pool this engine is attached to."""
+        return self._shared_pool
 
     @property
     def engine_id(self) -> int:
@@ -1217,7 +917,12 @@ class PooledEvaluator:
         )
 
     def refresh_batch_size(self) -> int:
-        """CELF refresh wave size, mirroring :meth:`ParallelEvaluator.refresh_batch_size`."""
+        """Candidates a lazy (CELF) selector should refresh per wave.
+
+        Enough to hand every worker its configured chunk share, so a wave
+        that clears the policy threshold saturates the pool; small enough
+        that lazy evaluation still skips the long tail of stale candidates.
+        """
         policy = self._shared_pool.policy
         chunk = policy.chunk_size or _CHUNKS_PER_WORKER
         return max(1, policy.resolved_workers() * chunk)
@@ -1256,70 +961,29 @@ class PooledEvaluator:
 class ParallelSelectorMixin:
     """Parallel-scan wiring shared by the greedy selector family.
 
-    A selector mixing this in accepts a :class:`ParallelPolicy` (constructor
-    argument and ``parallel`` property) and funnels every scan through
-    :meth:`_scan`, which picks the evaluator in priority order:
-
-    1. a *session-owned persistent* evaluator, when the selection runs
-       against a :class:`~repro.core.selection.session.RefinementSession`
-       configured with a parallel policy (fork cost amortised over the whole
-       run; the selector does not close it);
-    2. the selector's own policy, wrapped in a per-call evaluator whose
-       context manager guarantees the pool is reclaimed even when the scan
-       raises;
-    3. the plain serial path when neither is configured.
-
-    Either way the per-selection ``SelectionStats`` report only what *this*
-    selection used: worker counts are zeroed when every scan of the call
-    stayed under the auto-serial threshold, and a persistent evaluator's
-    cumulative counters are differenced around the call.
+    Session selections score through the session's evaluator
+    (:meth:`RefinementSession.shared_evaluator
+    <repro.core.selection.session.RefinementSession.shared_evaluator>`) when
+    it has one; every other selection runs the plain serial path.  The
+    per-selection ``SelectionStats`` report only what *this* selection used:
+    the evaluator's cumulative counters are differenced around the call, and
+    a call whose scans all stayed under the auto-serial threshold reports
+    zero workers even though the long-lived pool exists.
     """
 
-    _parallel: Optional[ParallelPolicy] = None
-
-    def __init__(self, parallel: Optional[ParallelPolicy] = None):
-        self._parallel = parallel
-
-    @property
-    def parallel(self) -> Optional[ParallelPolicy]:
-        """The configured parallel-scan policy (``None`` means always serial)."""
-        return self._parallel
-
-    @parallel.setter
-    def parallel(self, policy: Optional[ParallelPolicy]) -> None:
-        self._parallel = policy
-
-    def _scan(
-        self,
-        engine: EntropyEngine,
-        k: int,
-        candidates: Sequence[str],
-        runner,
-        shared_evaluator: Optional[ParallelEvaluator] = None,
-    ) -> SelectionResult:
-        """Run ``runner(engine, k, candidates, evaluator)`` with the right evaluator."""
-        if shared_evaluator is not None:
-            return self._instrumented(shared_evaluator, runner, engine, k, candidates)
-        if self._parallel is None:
-            return runner(engine, k, candidates, None)
-        with ParallelEvaluator(engine, self._parallel) as evaluator:
-            return self._instrumented(evaluator, runner, engine, k, candidates)
-
     @staticmethod
-    def _instrumented(
-        evaluator: ParallelEvaluator,
-        runner,
+    def _scan(
         engine: EntropyEngine,
         k: int,
         candidates: Sequence[str],
+        runner,
+        evaluator: Optional[PooledEvaluator] = None,
     ) -> SelectionResult:
+        """Run ``runner(engine, k, candidates, evaluator)`` and record its stats."""
+        if evaluator is None:
+            return runner(engine, k, candidates, None)
         before = evaluator.parallel_evaluations
         result = runner(engine, k, candidates, evaluator)
-        # The evaluator is the single source of truth for the execution-mode
-        # bookkeeping: it alone knows what its pool actually served.  For a
-        # persistent evaluator the counters span many selections, so report
-        # the delta — and a call whose scans all stayed auto-serial reports
-        # zero workers even though the long-lived pool exists.
         served = evaluator.parallel_evaluations - before
         result.stats.parallel_evaluations = served
         result.stats.workers = evaluator.workers if served else 0

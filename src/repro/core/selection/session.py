@@ -33,28 +33,30 @@ Two extensions ride on the same cached arrays:
   of cached per-fact bit columns: each query gets an interest *view* of the
   session engine (:meth:`EntropyEngine.interest_view` — own interest cells,
   shared everything else) instead of one full engine per query.
-* **Adaptive channel re-calibration** — with ``recalibrate=True`` the session
+* **Adaptive channel re-calibration** — with ``RuntimeOptions(recalibrate=True)``
+  the session
   re-estimates per-fact channel accuracies from answer/posterior agreement as
   rounds accumulate and swaps the updated
   :class:`~repro.core.crowd.RecalibratedChannelModel` into both selection and
   merging, keeping every structural cache warm.
 
-The session is also the owner of the **persistent parallel runtime**: built
-with a :class:`~repro.core.selection.parallel.ParallelPolicy`, it hands every
+The session is also where the **parallel runtime** plugs in: it hands every
 session-aware selector one long-lived
-:class:`~repro.core.selection.parallel.ParallelEvaluator` whose fork-shared
-worker pool survives the run's merges (each round's reweighted posterior is
-shipped through a shared-memory snapshot ring instead of re-forking).  The
-pool is acquired on the first scan that clears the policy threshold and
-released by :meth:`RefinementSession.close` — sessions (and
-:class:`SessionPool`) are context managers, so worker processes are reclaimed
-even when a selector raises mid-scan.
+:class:`~repro.core.selection.parallel.PooledEvaluator` — its engine's slot on
+an :class:`~repro.core.selection.parallel.EvaluatorPool` whose fork-shared
+workers survive the run's merges (each round's reweighted posterior is
+shipped through a shared-memory snapshot ring instead of re-forking).  Whoever
+builds a pool closes it: a session built with ``RuntimeOptions(workers=N)``
+builds a one-attachment pool and releases it in
+:meth:`RefinementSession.close`; a session given ``evaluator_pool=`` only
+detaches from the caller's pool.  Sessions (and :class:`SessionPool`) are
+context managers, so worker processes are reclaimed even when a selector
+raises mid-scan.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,56 +68,11 @@ from repro.core.merging import answer_likelihood_array
 from repro.core.query import Query
 from repro.core.selection.base import SelectionResult, TaskSelector
 from repro.core.selection.engine import EntropyEngine
-from repro.core.selection.parallel import (
-    EvaluatorPool,
-    ParallelEvaluator,
-    ParallelPolicy,
-    PooledEvaluator,
-)
+from repro.core.selection.parallel import EvaluatorPool, ParallelPolicy, PooledEvaluator
 from repro.exceptions import SelectionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.runtime import RuntimeOptions
-
-#: Sentinel distinguishing "caller did not pass the deprecated keyword" from
-#: every meaningful value, so the deprecation warning only fires on real use.
-_UNSET = object()
-
-
-def _resolve_runtime(
-    recalibrate: object,
-    parallel: Optional[ParallelPolicy],
-    runtime: "Optional[RuntimeOptions]",
-    evaluator_pool: Optional[EvaluatorPool],
-    owner: str,
-) -> "Tuple[bool, Optional[ParallelPolicy]]":
-    """Fold the deprecated ``recalibrate`` keyword and ``runtime`` into one
-    ``(recalibrate, session_policy)`` pair, enforcing the exclusivity
-    rules."""
-    if recalibrate is not _UNSET:
-        if runtime is not None:
-            raise SelectionError(
-                f"{owner} received both runtime= and the deprecated "
-                "recalibrate= keyword; set RuntimeOptions.recalibrate instead"
-            )
-        warnings.warn(
-            f"{owner}(recalibrate=...) is deprecated; pass "
-            "runtime=RuntimeOptions(recalibrate=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    resolved_recalibrate = bool(recalibrate) if recalibrate is not _UNSET else False
-    if runtime is not None:
-        resolved_recalibrate = runtime.recalibrate
-        if parallel is None:
-            parallel = runtime.session_policy
-    if evaluator_pool is not None and parallel is not None:
-        raise SelectionError(
-            f"{owner} cannot combine a dedicated parallel policy with a "
-            "shared evaluator_pool; the pool already carries its own policy"
-        )
-    return resolved_recalibrate, parallel
-
 
 class RefinementSession:
     """Cached selection/merging state for one multi-round refinement run.
@@ -132,37 +89,31 @@ class RefinementSession:
     interest_ids:
         Optional facts of interest; when given, the session's engine also
         tracks ``H(I, T)`` and session-aware query selectors reuse it.
-    recalibrate:
-        When true, each merge re-estimates the channel accuracy of every
-        answered fact from the posterior's agreement with the received
-        answers and swaps the updated channel into the engine (selection)
-        and the merge path, so later rounds price crowd noise with the
-        evidence accumulated so far.
     recalibration_smoothing:
         Pseudo-observation weight anchoring each re-estimate to the base
         channel's accuracy, so one or two rounds of answers cannot swing a
         channel to an extreme.
-    parallel:
-        Optional :class:`~repro.core.selection.parallel.ParallelPolicy`.
-        When given, the session owns a *persistent*
-        :class:`~repro.core.selection.parallel.ParallelEvaluator` for its
+    runtime:
+        Optional :class:`~repro.core.runtime.RuntimeOptions`.  With
+        ``recalibrate`` set, each merge re-estimates the channel accuracy of
+        every answered fact from the posterior's agreement with the received
+        answers and swaps the updated channel into the engine (selection)
+        and the merge path, so later rounds price crowd noise with the
+        evidence accumulated so far.  With ``workers`` set, the session owns
+        one :class:`~repro.core.selection.parallel.EvaluatorPool` for its
         engine: session-aware selectors of the greedy family shard their
         candidate scans over one long-lived fork pool that survives every
         :meth:`merge` (posteriors travel through a shared-memory snapshot
-        ring), instead of re-forking per selection call.  Release the pool
-        with :meth:`close` or by using the session as a context manager.
-    runtime:
-        Optional :class:`~repro.core.runtime.RuntimeOptions`; supplies
-        ``recalibrate`` and — when ``persistent_pool`` is set — the parallel
-        policy, replacing the deprecated loose keywords.
+        ring).  Release the pool with :meth:`close` or by using the session
+        as a context manager.
     evaluator_pool:
-        Optional shared :class:`~repro.core.selection.parallel.EvaluatorPool`
-        to multiplex this session's candidate scans onto, instead of the
-        session forking a dedicated pool.  The session attaches its engine
-        lazily on the first scan and detaches it on :meth:`close` — this is
-        how a multi-tenant server runs many sessions on a small, fixed set
-        of worker pools.  Mutually exclusive with a dedicated ``parallel``
-        policy.
+        Optional :class:`~repro.core.selection.parallel.EvaluatorPool` owned
+        by the caller, to run this session's candidate scans on instead of a
+        pool of its own.  The session attaches its engine lazily on the
+        first scan and detaches it on :meth:`close`, leaving the pool to its
+        owner — this is how an experiment runs every entity, and a
+        multi-tenant server every session, on a small fixed set of workers.
+        Mutually exclusive with ``runtime.workers``.
     """
 
     def __init__(
@@ -170,9 +121,7 @@ class RefinementSession:
         distribution: JointDistribution,
         channel: ChannelModel,
         interest_ids: Optional[Sequence[str]] = None,
-        recalibrate: object = _UNSET,
         recalibration_smoothing: float = 4.0,
-        parallel: Optional[ParallelPolicy] = None,
         runtime: "Optional[RuntimeOptions]" = None,
         evaluator_pool: Optional[EvaluatorPool] = None,
     ):
@@ -180,9 +129,12 @@ class RefinementSession:
             raise SelectionError(
                 f"recalibration smoothing must be positive, got {recalibration_smoothing}"
             )
-        recalibrate, parallel = _resolve_runtime(
-            recalibrate, parallel, runtime, evaluator_pool, "RefinementSession"
-        )
+        policy = runtime.parallel_policy if runtime is not None else None
+        if evaluator_pool is not None and policy is not None:
+            raise SelectionError(
+                "RefinementSession cannot combine runtime workers with a shared "
+                "evaluator_pool; the pool already carries its own policy"
+            )
         self._initial = distribution
         self._base_channel = channel
         self._channel = channel
@@ -191,60 +143,64 @@ class RefinementSession:
         self._materialized: Optional[JointDistribution] = distribution
         self._rounds_merged = 0
         self._views: Dict[Tuple[str, ...], EntropyEngine] = {}
-        self._recalibrate = recalibrate
+        self._recalibrate = runtime.recalibrate if runtime is not None else False
         self._smoothing = recalibration_smoothing
         self._agreement_mass: Dict[str, float] = {}
         self._agreement_count: Dict[str, int] = {}
-        self._parallel_policy = parallel
+        self._own_policy = policy
         self._evaluator_pool = evaluator_pool
-        self._evaluator: Optional[Union[ParallelEvaluator, PooledEvaluator]] = None
+        self._own_pool: Optional[EvaluatorPool] = None
+        self._evaluator: Optional[PooledEvaluator] = None
 
-    # -- persistent parallel runtime ---------------------------------------------------
+    # -- parallel runtime --------------------------------------------------------------
 
     @property
     def parallel_policy(self) -> Optional[ParallelPolicy]:
-        """The policy behind the session's persistent pool (``None`` = serial).
+        """The policy candidate scans run under (``None`` = serial).
 
-        For a session multiplexed onto a shared
+        For a session attached to a caller's
         :class:`~repro.core.selection.parallel.EvaluatorPool` this is the
         pool's policy — every tenant of one pool is scored under the same
         sharding rules.
         """
         if self._evaluator_pool is not None:
             return self._evaluator_pool.policy
-        return self._parallel_policy
+        return self._own_policy
 
-    def shared_evaluator(self) -> "Optional[Union[ParallelEvaluator, PooledEvaluator]]":
-        """The session-owned persistent evaluator, or ``None`` without a policy.
+    def shared_evaluator(self) -> Optional[PooledEvaluator]:
+        """The session's evaluator, or ``None`` for a serial session.
 
-        Created lazily on first request; its worker pool forks lazily on the
-        first candidate scan that clears the policy threshold, so merely
-        configuring a policy costs nothing until parallelism actually pays.
-        The evaluator stays valid across merges and channel swaps — it ships
-        the engine's current generation to its workers on every dispatch —
-        and lives until :meth:`close`.  A session built with a shared
-        ``evaluator_pool`` instead attaches its engine to that pool and hands
-        out the resulting :class:`PooledEvaluator` facade.
+        Created lazily on first request by attaching the engine to the
+        caller's ``evaluator_pool`` or, with ``runtime.workers``, to a pool
+        the session builds for itself.  The pool forks lazily on the first
+        candidate scan that clears the policy threshold, so merely
+        configuring workers costs nothing until parallelism actually pays.
+        The evaluator stays valid across merges and channel swaps — the pool
+        ships the engine's current generation to its workers on every
+        dispatch — and lives until :meth:`close`.
         """
         if self._evaluator is None:
-            if self._evaluator_pool is not None:
-                self._evaluator = self._evaluator_pool.attach(self._engine)
-            elif self._parallel_policy is not None:
-                self._evaluator = ParallelEvaluator(
-                    self._engine, self._parallel_policy, persistent=True
-                )
+            pool = self._evaluator_pool
+            if pool is None and self._own_policy is not None:
+                pool = self._own_pool = EvaluatorPool(self._own_policy)
+            if pool is not None:
+                self._evaluator = pool.attach(self._engine)
         return self._evaluator
 
     def close(self) -> None:
-        """Release the persistent parallel runtime (idempotent).
+        """Release the parallel runtime (idempotent).
 
-        Terminates the worker pool and unlinks the shared-memory snapshot
-        ring.  The session itself stays usable — selections simply run
-        serially afterwards until a new parallel scan re-acquires the pool.
+        Detaches the engine (unlinking its shared-memory snapshot ring) and,
+        for a session-owned pool, terminates the worker processes; a
+        caller's pool keeps serving its other attachments.  The session
+        itself stays usable — a later parallel scan attaches afresh.
         """
         if self._evaluator is not None:
             self._evaluator.close()
             self._evaluator = None
+        if self._own_pool is not None:
+            self._own_pool.close()
+            self._own_pool = None
 
     def __enter__(self) -> "RefinementSession":
         return self
@@ -478,10 +434,9 @@ class SessionPool:
     (summed utility, pooled predicted labels) are computed straight from the
     sessions' cached arrays.
 
-    Sessions added with a parallel policy own persistent worker pools; the
-    pool-level :meth:`close` (or the context manager) releases all of them in
-    one call, so a multi-entity experiment cannot leak worker processes even
-    when one entity's selection raises.
+    The pool-level :meth:`close` (or the context manager) releases every
+    session's parallel runtime in one call, so a multi-entity experiment
+    cannot leak worker processes even when one entity's selection raises.
     """
 
     def __init__(self) -> None:
@@ -493,21 +448,16 @@ class SessionPool:
         distribution: JointDistribution,
         channel: ChannelModel,
         interest_ids: Optional[Sequence[str]] = None,
-        recalibrate: object = _UNSET,
-        parallel: Optional[ParallelPolicy] = None,
         runtime: "Optional[RuntimeOptions]" = None,
         evaluator_pool: Optional[EvaluatorPool] = None,
     ) -> RefinementSession:
         """Create, register and return the session for ``key``.
 
-        ``parallel`` gives the new session its own persistent evaluator (one
-        long-lived worker pool per entity — each pool forks lazily, and only
-        for scans that clear the policy threshold, so small entities never
-        pay for it); ``evaluator_pool`` instead multiplexes the session onto
-        a shared pool (how a multi-tenant server keeps the worker count
-        independent of the session count).  ``runtime`` carries
-        ``recalibrate`` (and, with ``persistent_pool``, the policy) in typed
-        form; the loose ``recalibrate`` keyword is deprecated.
+        ``runtime`` and ``evaluator_pool`` mean what they mean on
+        :class:`RefinementSession`: ``runtime.workers`` gives the new session
+        a pool of its own, while ``evaluator_pool`` attaches it to a shared
+        pool (how an experiment or a multi-tenant server keeps the worker
+        count independent of the session count).
         """
         if key in self._sessions:
             raise SelectionError(f"session pool already contains key {key!r}")
@@ -515,8 +465,6 @@ class SessionPool:
             distribution,
             channel,
             interest_ids=interest_ids,
-            recalibrate=recalibrate,
-            parallel=parallel,
             runtime=runtime,
             evaluator_pool=evaluator_pool,
         )
@@ -527,7 +475,7 @@ class SessionPool:
         """Evict one session, releasing its parallel runtime, and return it.
 
         The one-session counterpart of :meth:`close`: the session's
-        persistent evaluator (dedicated pool or shared-pool slot) is released
+        evaluator (own pool or shared-pool slot) is released
         immediately instead of lingering until the whole pool shuts down — a
         long-running server evicting finished tenants needs exactly this, and
         without it a removed entity's worker processes would leak until
@@ -542,7 +490,7 @@ class SessionPool:
         return session
 
     def close(self) -> None:
-        """Release every session's persistent parallel runtime (idempotent)."""
+        """Release every session's parallel runtime (idempotent)."""
         for session in self._sessions.values():
             session.close()
 

@@ -44,7 +44,12 @@ from repro.core.distribution import JointDistribution
 from repro.core.facts import FactSet
 from repro.core.runtime import RuntimeOptions
 from repro.core.selection import TaskSelector, get_selector
-from repro.core.selection.parallel import ParallelPolicy, fork_available
+from repro.core.selection.parallel import (
+    EvaluatorPool,
+    ParallelPolicy,
+    ParallelSelectorMixin,
+    restore_default_sigterm,
+)
 from repro.core.selection.session import RefinementSession, SessionPool
 from repro.correlation.builder import JointDistributionBuilder
 from repro.correlation.rules import CorrelationRule
@@ -193,49 +198,24 @@ class ExperimentConfig:
         How many times each calibration sample task is asked.
     runtime:
         Typed :class:`~repro.core.runtime.RuntimeOptions` carrying every
-        execution knob (workers, parallel_threshold, persistent_pool,
-        recalibrate, parallel_entities) in one validated object.  This is the
-        supported way to configure the runtime; the five loose fields below
-        keep working for one release with a :class:`DeprecationWarning` and
-        may not be combined with ``runtime``.
-    recalibrate_channels:
-        Deprecated — use ``runtime=RuntimeOptions(recalibrate=True)``.
-        Adaptive re-calibration: every entity's session re-estimates per-fact
-        channel accuracies from answer/posterior agreement as rounds
-        accumulate, on top of whichever ``crowd_model`` fidelity it started
-        from.
-    workers:
-        Deprecated — use ``runtime=RuntimeOptions(workers=...)``.
-        Worker processes for parallel candidate scans (``None`` disables
-        parallelism entirely; selectors then never fork).  Only selectors of
-        the greedy family honour it.
-    parallel_threshold:
-        Deprecated — use ``runtime=RuntimeOptions(parallel_threshold=...)``.
-        Auto-serial threshold (candidates × support rows) below which a
-        configured parallel scan still runs in process; ``None`` uses the
-        library default.
-    persistent_pool:
-        Deprecated — use ``runtime=RuntimeOptions(workers=...,
-        persistent_pool=True)``.
-        When true (requires ``workers``), every entity's session owns one
-        persistent worker pool surviving the whole run — reweighted
-        posteriors are shipped to the already-forked workers through a
-        shared-memory snapshot ring — instead of re-forking a pool per
-        selection call.  Needs the ``fork`` start method.  Note the
-        residency cost: pools are per entity (up to ``workers × entities``
-        processes if every entity's scans clear the threshold), forked
-        lazily and released as soon as an entity's budget is exhausted; on
-        many-entity corpora keep ``workers`` moderate, or use
-        ``parallel_entities`` instead.
-    parallel_entities:
-        Deprecated — use ``runtime=RuntimeOptions(parallel_entities=...)``.
-        Fan whole entities out across a process pool of this size: each
-        worker runs one entity's complete refinement trajectory (per-entity
-        RNG streams make that deterministic) and the lock-step curve is
-        reassembled from the per-round records, with points identical to the
-        serial loop's.  Mutually exclusive with ``workers`` — inside the
-        fan-out workers candidate scans stay serial (pool workers are
-        daemonic and cannot fork grandchildren).  Needs ``fork``.
+        execution knob in one validated object (``None`` = serial, no
+        re-calibration):
+
+        * ``recalibrate`` — every entity's session re-estimates per-fact
+          channel accuracies from answer/posterior agreement as rounds
+          accumulate, on top of whichever ``crowd_model`` fidelity it
+          started from.
+        * ``workers`` / ``parallel_threshold`` — the run builds one
+          :class:`~repro.core.selection.parallel.EvaluatorPool` of
+          ``workers`` processes and attaches every entity's session to it,
+          so the resident worker count does not grow with the entity count.
+          Only selectors of the greedy family use it.
+        * ``parallel_entities`` — fan whole entities out across a process
+          pool of this size: each worker runs one entity's complete
+          refinement trajectory (per-entity RNG streams make that
+          deterministic) and the lock-step curve is reassembled from the
+          per-round records, with points identical to the serial loop's.
+          Mutually exclusive with ``workers``.
     """
 
     selector: str = "greedy_prune_pre"
@@ -249,72 +229,7 @@ class ExperimentConfig:
     crowd_model: str = "uniform"
     calibration_facts: int = 5
     calibration_repetitions: int = 3
-    recalibrate_channels: bool = False
-    workers: Optional[int] = None
-    parallel_threshold: Optional[int] = None
-    persistent_pool: bool = False
-    parallel_entities: Optional[int] = None
     runtime: Optional[RuntimeOptions] = None
-
-    #: ``(field name, default)`` pairs of the deprecated loose runtime fields.
-    _LEGACY_RUNTIME_FIELDS = (
-        ("recalibrate_channels", False),
-        ("workers", None),
-        ("parallel_threshold", None),
-        ("persistent_pool", False),
-        ("parallel_entities", None),
-    )
-
-    def __post_init__(self) -> None:
-        legacy = [
-            name
-            for name, default in self._LEGACY_RUNTIME_FIELDS
-            if getattr(self, name) != default
-        ]
-        if legacy:
-            if self.runtime is not None:
-                raise CrowdFusionError(
-                    "ExperimentConfig received both runtime= and the deprecated "
-                    f"field(s) {', '.join(legacy)}; configure everything on "
-                    "RuntimeOptions"
-                )
-            warnings.warn(
-                f"ExperimentConfig({', '.join(legacy)}=...) is deprecated; "
-                "pass runtime=RuntimeOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if self.workers is not None and self.workers < 1:
-            raise CrowdFusionError(
-                f"workers must be a positive integer, got {self.workers}"
-            )
-        if self.parallel_threshold is not None and self.parallel_threshold < 0:
-            raise CrowdFusionError(
-                f"parallel_threshold must be non-negative, got {self.parallel_threshold}"
-            )
-        if self.parallel_entities is not None and self.parallel_entities < 1:
-            raise CrowdFusionError(
-                f"parallel_entities must be a positive integer, got "
-                f"{self.parallel_entities}"
-            )
-        if self.persistent_pool and self.workers is None:
-            raise CrowdFusionError(
-                "persistent_pool requires workers: set workers (--workers) to "
-                "the pool size the persistent runtime should keep alive"
-            )
-        if self.parallel_entities is not None and self.workers is not None:
-            raise CrowdFusionError(
-                "parallel_entities and workers are mutually exclusive: entity "
-                "fan-out workers are daemonic and cannot fork nested candidate-"
-                "scan pools; pick one parallelism axis"
-            )
-        if (self.persistent_pool or self.parallel_entities is not None) and (
-            not fork_available()
-        ):
-            raise CrowdFusionError(
-                "persistent worker pools and entity fan-out need the 'fork' "
-                "start method, which this platform does not provide"
-            )
 
     @property
     def model_accuracy(self) -> float:
@@ -327,22 +242,8 @@ class ExperimentConfig:
 
     @property
     def runtime_options(self) -> RuntimeOptions:
-        """The effective typed runtime configuration.
-
-        Either the ``runtime`` object as passed, or one synthesised from the
-        deprecated loose fields — so internal code reads one source of truth
-        regardless of which spelling the caller used.  (The ``runtime`` field
-        itself is stored verbatim to keep ``dataclasses.replace`` symmetric.)
-        """
-        if self.runtime is not None:
-            return self.runtime
-        return RuntimeOptions(
-            workers=self.workers,
-            parallel_threshold=self.parallel_threshold,
-            persistent_pool=self.persistent_pool,
-            recalibrate=self.recalibrate_channels,
-            parallel_entities=self.parallel_entities,
-        )
+        """The effective typed runtime configuration (serial when unset)."""
+        return self.runtime if self.runtime is not None else RuntimeOptions()
 
     @property
     def parallel_policy(self) -> Optional[ParallelPolicy]:
@@ -524,35 +425,57 @@ def run_quality_experiment(
     if runtime.parallel_entities is not None:
         return _run_fanned_out(list(problems), config, budget_overrides)
 
+    parallel_policy = runtime.parallel_policy
+    if parallel_policy is None:
+        return _run_lock_step(problems, config, budget_overrides, None)
+    # One worker pool for the whole run, owned (and closed) here: every
+    # entity's session attaches to it, so resident workers stay at
+    # ``workers`` no matter how many entities there are.
+    with EvaluatorPool(parallel_policy) as evaluator_pool:
+        return _run_lock_step(problems, config, budget_overrides, evaluator_pool)
+
+
+def _run_lock_step(
+    problems: Sequence[EntityProblem],
+    config: ExperimentConfig,
+    budget_overrides: Mapping[str, int],
+    evaluator_pool: Optional[EvaluatorPool],
+) -> ExperimentResult:
+    """The lock-step loop of :func:`run_quality_experiment` on one process."""
+    session_runtime = RuntimeOptions(recalibrate=config.runtime_options.recalibrate)
     pool = SessionPool()
     states: List[_EntityState] = []
-    parallel_policy = runtime.parallel_policy
     for index, problem in enumerate(problems):
         platform, channel, selector, budget = _prepare_entity(
             problem, index, config, budget_overrides
         )
-        if parallel_policy is not None:
-            if not hasattr(selector, "parallel"):
-                # Neither wiring can help this selector: it ignores per-call
-                # policies and never consumes a session's evaluator.
-                if index == 0:
-                    warnings.warn(
-                        f"selector {config.selector!r} does not support "
-                        "parallel candidate scans; the workers/"
-                        "parallel_threshold settings are ignored",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            elif not runtime.persistent_pool:
-                selector.parallel = parallel_policy
+        if (
+            evaluator_pool is not None
+            and index == 0
+            and not isinstance(selector, ParallelSelectorMixin)
+        ):
+            warnings.warn(
+                f"selector {config.selector!r} does not support parallel "
+                "candidate scans; the workers/parallel_threshold settings are "
+                "ignored",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        session = pool.add(
+            problem.entity,
+            problem.prior,
+            channel,
+            runtime=session_runtime,
+            evaluator_pool=evaluator_pool,
+        )
+        if evaluator_pool is not None:
+            # Attach every engine before the first scan forks the pool, so
+            # one fork inherits them all instead of one re-fork per entity.
+            session.shared_evaluator()
         states.append(
             _EntityState(
                 problem=problem,
-                # The session derives both the re-calibration flag and (with
-                # persistent_pool) its session-owned policy from the runtime.
-                session=pool.add(
-                    problem.entity, problem.prior, channel, runtime=runtime
-                ),
+                session=session,
                 platform=platform,
                 selector=selector,
                 remaining_budget=budget,
@@ -566,8 +489,8 @@ def run_quality_experiment(
     total_cost = sum(state.platform.stats().answers_collected for state in states)
     result.points.append(_measure(pool, states, total_cost))
 
-    # The pool context releases every session's persistent worker pool on the
-    # way out — including when a selector raises mid-pass.
+    # The pool context detaches every session on the way out — including
+    # when a selector raises mid-pass.
     with pool:
         while any(state.remaining_budget > 0 for state in states):
             progressed = False
@@ -586,8 +509,8 @@ def run_quality_experiment(
                 total_cost += len(selection.task_ids)
                 progressed = True
                 if state.remaining_budget <= 0:
-                    # This entity will never scan again: release its persistent
-                    # workers now instead of holding them to the end of the run.
+                    # This entity will never scan again: detach it now so its
+                    # ring is released and a re-fork does not copy its engine.
                     state.session.close()
             if not progressed:
                 break
@@ -769,7 +692,9 @@ def _run_fanned_out(
     processes = min(config.runtime_options.parallel_entities, len(problems))
     _FANOUT_CONTEXT = (problems, config, budget_overrides)
     try:
-        with context.Pool(processes=processes) as worker_pool:
+        with context.Pool(
+            processes=processes, initializer=restore_default_sigterm
+        ) as worker_pool:
             trajectories = worker_pool.map(
                 _entity_trajectory, range(len(problems)), chunksize=1
             )

@@ -1,8 +1,8 @@
 """The shared evaluator-pool group: N worker pools for M tenants, N « M.
 
-PR 5's runtime gave every session its *own* persistent fork pool — fine for
-a batch experiment over a fixed entity list, fatal for a service whose
-session count is unbounded (``workers × sessions`` resident processes).  The
+A session that owns its worker pool costs ``workers`` resident processes —
+fine for one refinement run, fatal for a service whose session count is
+unbounded (``workers × sessions`` resident processes).  The
 :class:`EngineGroup` inverts the ownership: the *service* owns a small,
 fixed set of :class:`~repro.core.selection.parallel.EvaluatorPool` instances
 and assigns each new session to one of them round-robin.  Each pool

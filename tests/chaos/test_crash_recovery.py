@@ -15,12 +15,13 @@ import os
 import pytest
 
 from repro.core.crowd import CrowdModel
+from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
+    EvaluatorPool,
     GreedySelector,
     ParallelPolicy,
     RefinementSession,
 )
-from repro.core.selection.parallel import EvaluatorPool
 from repro.testing import faults
 from repro.testing.faults import KILL_EXITCODE, FaultPlan
 
@@ -34,6 +35,9 @@ pytestmark = [pytest.mark.chaos, pytest.mark.parallel]
 
 #: Forces the pool for every scan with at least two candidates.
 POLICY = ParallelPolicy(workers=2, parallel_threshold=0)
+
+#: The same pool, owned by the session it serves.
+RUNTIME = RuntimeOptions(workers=2, parallel_threshold=0)
 
 
 @pytest.fixture(autouse=True)
@@ -66,13 +70,13 @@ def test_worker_kill_mid_scan_recovers_bit_identical():
 
     with no_leaks():
         with faults.injected(FaultPlan(kill_worker_at_dispatch=1)) as state:
-            with RefinementSession(dist, crowd, parallel=POLICY) as session:
+            with RefinementSession(dist, crowd, runtime=RUNTIME) as session:
                 recovered = run_rounds(session, GreedySelector())
-                evaluator = session.shared_evaluator()
-                assert evaluator.worker_crashes == 1
-                assert evaluator.pool_rebuilds == 1
-                assert evaluator.breaker_trips == 0
-                assert not evaluator.degraded
+                pool = session.shared_evaluator().pool
+                assert pool.worker_crashes == 1
+                assert pool.pool_rebuilds == 1
+                assert pool.breaker_trips == 0
+                assert not pool.degraded
             assert state._kills_left.value == 0
 
     assert_histories_match(serial, recovered)
@@ -88,12 +92,12 @@ def test_corrupt_header_forces_rebuild_then_bit_identical():
         # channel model; the worker must refuse it (its state can no longer
         # be trusted to score serial-identically) and the supervisor rebuild.
         with faults.injected(FaultPlan(corrupt_header_at_dispatch=2)):
-            with RefinementSession(dist, crowd, parallel=POLICY) as session:
+            with RefinementSession(dist, crowd, runtime=RUNTIME) as session:
                 recovered = run_rounds(session, GreedySelector())
-                evaluator = session.shared_evaluator()
-                assert evaluator.worker_crashes == 1
-                assert evaluator.pool_rebuilds == 1
-                assert not evaluator.degraded
+                pool = session.shared_evaluator().pool
+                assert pool.worker_crashes == 1
+                assert pool.pool_rebuilds == 1
+                assert not pool.degraded
 
     assert_histories_match(serial, recovered)
 
@@ -102,18 +106,18 @@ def test_hung_dispatch_times_out_and_recovers_bit_identical():
     dist = dense_distribution(8, 192, seed=72)
     crowd = CrowdModel(0.8)
     serial = run_rounds(RefinementSession(dist, crowd), GreedySelector())
-    policy = ParallelPolicy(workers=2, parallel_threshold=0, dispatch_timeout=1.0)
+    runtime = RuntimeOptions(workers=2, parallel_threshold=0, dispatch_timeout_ms=1000)
 
     with no_leaks():
         with faults.injected(
             FaultPlan(hang_worker_at_dispatch=1, hang_seconds=60.0)
         ):
-            with RefinementSession(dist, crowd, parallel=policy) as session:
+            with RefinementSession(dist, crowd, runtime=runtime) as session:
                 recovered = run_rounds(session, GreedySelector())
-                evaluator = session.shared_evaluator()
-                assert evaluator.worker_crashes == 1
-                assert evaluator.pool_rebuilds == 1
-                assert not evaluator.degraded
+                pool = session.shared_evaluator().pool
+                assert pool.worker_crashes == 1
+                assert pool.pool_rebuilds == 1
+                assert not pool.degraded
 
     assert_histories_match(serial, recovered)
 
@@ -122,7 +126,7 @@ def test_repeated_crashes_trip_the_breaker_and_complete_serially():
     dist = dense_distribution(8, 192, seed=73)
     crowd = CrowdModel(0.8)
     serial = run_rounds(RefinementSession(dist, crowd), GreedySelector())
-    policy = ParallelPolicy(workers=2, parallel_threshold=0, max_rebuilds=1)
+    runtime = RuntimeOptions(workers=2, parallel_threshold=0, max_rebuilds=1)
 
     with no_leaks():
         # Every dispatch's workers kill themselves: rebuild once, crash
@@ -131,13 +135,14 @@ def test_repeated_crashes_trip_the_breaker_and_complete_serially():
         with faults.injected(
             FaultPlan(kill_worker_at_dispatch=1, kill_limit=1000)
         ):
-            with RefinementSession(dist, crowd, parallel=policy) as session:
+            with RefinementSession(dist, crowd, runtime=runtime) as session:
                 degraded = run_rounds(session, GreedySelector())
                 evaluator = session.shared_evaluator()
                 assert evaluator.degraded
-                assert evaluator.breaker_trips == 1
-                assert evaluator.worker_crashes == 2  # max_rebuilds + 1
-                assert evaluator.pool_rebuilds == 1
+                pool = evaluator.pool
+                assert pool.breaker_trips == 1
+                assert pool.worker_crashes == 2  # max_rebuilds + 1
+                assert pool.pool_rebuilds == 1
 
     assert_histories_match(serial, degraded)
 

@@ -149,11 +149,7 @@ class TestPersistentPoolEquivalence:
     def test_persistent_pool_matches_serial(self):
         distribution = sparse_distribution(16, 2048, 11)
         crowd = CrowdModel(ACCURACY)
-        runtime = RuntimeOptions(
-            workers=2,
-            persistent_pool=True,
-            parallel_threshold=0,
-        )
+        runtime = RuntimeOptions(workers=2, parallel_threshold=0)
 
         def run(options):
             with RefinementSession(distribution, crowd, runtime=options) as session:
@@ -174,9 +170,7 @@ class TestPersistentPoolEquivalence:
         # attached, and through the engine's batched scan when not.
         distribution = sparse_distribution(16, 2048, 13)
         crowd = heterogeneous_channel(16, 14)
-        runtime = RuntimeOptions(
-            workers=2, persistent_pool=True, parallel_threshold=0
-        )
+        runtime = RuntimeOptions(workers=2, parallel_threshold=0)
 
         def run(options):
             with RefinementSession(distribution, crowd, runtime=options) as session:
@@ -192,9 +186,7 @@ class TestPersistentPoolEquivalence:
         # scores its candidates one sub-batch at a time.
         distribution = sparse_distribution(16, 2048, 12)
         crowd = CrowdModel(ACCURACY)
-        runtime = RuntimeOptions(
-            workers=2, persistent_pool=True, parallel_threshold=0
-        )
+        runtime = RuntimeOptions(workers=2, parallel_threshold=0)
 
         def run():
             with RefinementSession(distribution, crowd, runtime=runtime) as session:

@@ -1,10 +1,10 @@
 """Equivalence suite for parallel candidate sharding and batched queries.
 
 The parallel subsystem's contract is *pure acceleration*: sharding a greedy
-iteration's candidate scan across a fork-shared worker pool must select
-exactly the task sets — same ids, same order, objectives within 1e-9 — that
-the serial scan selects, across worker counts, channel models and the
-pruning variant; and batched multi-query scoring through one session's
+iteration's candidate scan across a session's fork-shared worker pool must
+select exactly the task sets — same ids, same order, objectives within 1e-9
+— that the serial scan selects, across worker counts, channel models and
+the pruning variant; and batched multi-query scoring through one session's
 shared caches must match one fresh engine per query.
 """
 
@@ -17,9 +17,10 @@ from repro.core.answers import AnswerSet
 from repro.core.crowd import CrowdModel, PerFactChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.query import Query
+from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
+    EvaluatorPool,
     GreedySelector,
-    ParallelEvaluator,
     ParallelPolicy,
     QueryGreedySelector,
     RefinementSession,
@@ -27,7 +28,12 @@ from repro.core.selection import (
     get_selector,
 )
 from repro.core.selection.engine import EntropyEngine
-from repro.core.selection.parallel import DEFAULT_PARALLEL_THRESHOLD, fork_available
+from repro.core.selection import parallel
+from repro.core.selection.parallel import (
+    DEFAULT_PARALLEL_THRESHOLD,
+    WorkerSyncError,
+    fork_available,
+)
 from repro.datasets.scale import ScaleCorpusConfig, generate_scale_distribution
 from repro.exceptions import SelectionError
 
@@ -78,6 +84,13 @@ def heterogeneous_channel(fact_ids):
     )
 
 
+def select_on_pool(dist, channel, selector, k, workers, threshold=FORCE_PARALLEL):
+    """One selection through a session owning a ``workers``-process pool."""
+    runtime = RuntimeOptions(workers=workers, parallel_threshold=threshold)
+    with RefinementSession(dist, channel, runtime=runtime) as session:
+        return session.select(selector, k)
+
+
 class TestParallelPolicy:
     def test_validation(self):
         with pytest.raises(SelectionError):
@@ -115,15 +128,17 @@ class TestParallelPolicy:
 
 
 class TestAutoSerialThreshold:
-    """A parallel-configured selector below threshold is exactly serial."""
+    """A parallel-configured session below threshold is exactly serial."""
 
     @given(coarse_distributions(), accuracies, st.integers(min_value=1, max_value=4))
     @settings(max_examples=30, deadline=None)
     def test_below_threshold_matches_serial_without_forking(self, dist, accuracy, k):
         crowd = CrowdModel(accuracy)
         serial = GreedySelector().select(dist, crowd, k)
-        configured = GreedySelector(parallel=ParallelPolicy(workers=4))
-        result = configured.select(dist, crowd, k)
+        result = select_on_pool(
+            dist, crowd, GreedySelector(), k, workers=4,
+            threshold=DEFAULT_PARALLEL_THRESHOLD,
+        )
         assert result.task_ids == serial.task_ids
         assert result.objective == serial.objective
         assert result.stats.workers == 0
@@ -133,10 +148,31 @@ class TestAutoSerialThreshold:
     def test_evaluator_reports_serial_below_threshold(self):
         dist = dense_distribution(8, 64)
         engine = EntropyEngine(dist, CrowdModel(0.8))
-        with ParallelEvaluator(engine, ParallelPolicy(workers=4)) as evaluator:
+        with EvaluatorPool(ParallelPolicy(workers=4)) as pool:
+            evaluator = pool.attach(engine)
             state = engine.initial_state()
             assert evaluator.evaluate(state, list(dist.fact_ids)) is None
             assert evaluator.workers == 0
+            assert not pool.forked
+
+
+class TestWorkerContract:
+    """A worker whose fork-time state cannot serve a header refuses it, so
+    the supervisor rebuilds the pool instead of trusting its scores."""
+
+    def test_worker_without_registry_refuses_dispatch(self, monkeypatch):
+        # A maintenance-thread respawn never inherited an engine registry.
+        monkeypatch.setattr(parallel, "_FORK_ENGINES", None)
+        monkeypatch.setattr(parallel, "_FORK_RING_MAP", None)
+        with pytest.raises(WorkerSyncError, match="registry"):
+            parallel._evaluate_chunk((0, 0, -1, 0, None), (), ["f0"])
+
+    def test_worker_without_the_headers_engine_refuses_dispatch(self, monkeypatch):
+        engine = EntropyEngine(dense_distribution(4, 8), CrowdModel(0.8))
+        monkeypatch.setattr(parallel, "_FORK_ENGINES", {0: engine})
+        monkeypatch.setattr(parallel, "_FORK_RING_MAP", {})
+        with pytest.raises(WorkerSyncError, match="engine 1"):
+            parallel._evaluate_chunk((1, 0, -1, 0, None), (), ["f0"])
 
 
 @pytest.mark.parallel
@@ -152,11 +188,7 @@ class TestParallelEquivalence:
     def test_parallel_matches_serial(self, dist, accuracy, k, workers, name):
         crowd = CrowdModel(accuracy)
         serial = get_selector(name).select(dist, crowd, k)
-        parallel_selector = get_selector(name)
-        parallel_selector.parallel = ParallelPolicy(
-            workers=workers, parallel_threshold=FORCE_PARALLEL
-        )
-        result = parallel_selector.select(dist, crowd, k)
+        result = select_on_pool(dist, crowd, get_selector(name), k, workers)
         assert result.task_ids == serial.task_ids
         assert abs(result.objective - serial.objective) < 1e-9
         assert result.stats.candidate_evaluations == serial.stats.candidate_evaluations
@@ -167,10 +199,7 @@ class TestParallelEquivalence:
     def test_parallel_matches_serial_heterogeneous(self, dist, k):
         channel = heterogeneous_channel(dist.fact_ids)
         serial = GreedySelector().select(dist, channel, k)
-        parallel_selector = GreedySelector(
-            parallel=ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        )
-        result = parallel_selector.select(dist, channel, k)
+        result = select_on_pool(dist, channel, GreedySelector(), k, workers=2)
         assert result.task_ids == serial.task_ids
         assert abs(result.objective - serial.objective) < 1e-9
 
@@ -187,7 +216,8 @@ class TestParallelEquivalence:
             for fact_id in candidates
         ]
         policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        with ParallelEvaluator(engine, policy) as evaluator:
+        with EvaluatorPool(policy) as pool:
+            evaluator = pool.attach(engine)
             scored = evaluator.evaluate(state, candidates)
         # Replayed worker state runs the identical float operations, so the
         # entropies agree to the last bit, not merely within tolerance.
@@ -199,11 +229,7 @@ class TestParallelEquivalence:
         crowd = CrowdModel(0.8)
         serial_session = RefinementSession(dist, crowd)
         serial = serial_session.select(GreedySelector(), 4)
-        parallel_session = RefinementSession(dist, crowd)
-        selector = GreedySelector(
-            parallel=ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        )
-        result = parallel_session.select(selector, 4)
+        result = select_on_pool(dist, crowd, GreedySelector(), 4, workers=2)
         assert result.task_ids == serial.task_ids
         assert abs(result.objective - serial.objective) < 1e-9
         assert result.stats.workers == 2
@@ -220,8 +246,10 @@ class TestParallelEquivalenceAtScale:
         crowd = CrowdModel(0.8)
         serial = GreedySelector().select(dist, crowd, 2)
         for workers in (2, 4):
-            selector = GreedySelector(parallel=ParallelPolicy(workers=workers))
-            result = selector.select(dist, crowd, 2)
+            result = select_on_pool(
+                dist, crowd, GreedySelector(), 2, workers,
+                threshold=DEFAULT_PARALLEL_THRESHOLD,
+            )
             assert result.task_ids == serial.task_ids
             assert abs(result.objective - serial.objective) < 1e-9
             assert result.stats.workers == workers

@@ -1,14 +1,14 @@
 """Equivalence and lifecycle suite for the persistent parallel runtime.
 
-The persistent pool's contract extends the per-call evaluator's: one
-fork-shared worker pool owned by a :class:`RefinementSession` survives every
-``merge`` (posteriors travel through the shared-memory snapshot ring, channel
-swaps are replayed from the dispatch header), and every selection it serves
-must be bit-for-bit what the serial session path selects — same task ids,
-objectives within 1e-9 — across worker counts, channel models, the lazy
-batch-refresh variant, re-calibration, and batched multi-query scoring.
-The lifecycle half: worker processes must never outlive their owning
-session/evaluator, even when a selector raises mid-scan.
+One fork-shared worker pool owned by a :class:`RefinementSession` (built
+with ``RuntimeOptions(workers=N)``) survives every ``merge`` (posteriors
+travel through the shared-memory snapshot ring, channel swaps are replayed
+from the dispatch header), and every selection it serves must be bit-for-bit
+what the serial session path selects — same task ids, objectives within
+1e-9 — across worker counts, channel models, the lazy batch-refresh variant,
+re-calibration, and batched multi-query scoring.  The lifecycle half: worker
+processes must never outlive the pool's owner, even when a selector raises
+mid-scan.
 """
 
 import multiprocessing
@@ -21,10 +21,11 @@ from repro.core.crowd import CrowdModel, PerFactChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.engine import CrowdFusionEngine
 from repro.core.query import Query
+from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
+    EvaluatorPool,
     GreedySelector,
     LazyGreedySelector,
-    ParallelEvaluator,
     ParallelPolicy,
     PrunedPreprocessingGreedySelector,
     QueryGreedySelector,
@@ -32,11 +33,19 @@ from repro.core.selection import (
     SessionPool,
 )
 from repro.core.selection.engine import EntropyEngine
-from repro.core.selection.parallel import _SnapshotRing, fork_available
+from repro.core.selection import parallel
+from repro.core.selection.parallel import _SnapshotRing
 from repro.exceptions import SelectionError
 
 #: Forces the pool for any scan with at least two candidates.
 FORCE_PARALLEL = 0
+
+#: A session-owned two-worker pool that engages on every multi-candidate scan.
+POOLED = RuntimeOptions(workers=2, parallel_threshold=FORCE_PARALLEL)
+RECALIBRATING = RuntimeOptions(recalibrate=True)
+RECALIBRATING_POOLED = RuntimeOptions(
+    workers=2, parallel_threshold=FORCE_PARALLEL, recalibrate=True
+)
 
 
 def dense_distribution(num_facts, support, seed=0):
@@ -71,6 +80,14 @@ def run_rounds(session, selector, rounds=4, k=3):
         history.append((result.task_ids, result.objective, result.stats))
         session.merge(scripted_answers(result.task_ids, round_index))
     return history
+
+
+class ExplodingGreedy(GreedySelector):
+    """Forks the pool with one scan, then raises mid-selection."""
+
+    def _runner(self, engine, k, candidates, evaluator):
+        evaluator.evaluate(engine.initial_state(), list(candidates))
+        raise RuntimeError("boom")
 
 
 def assert_histories_match(serial, parallel):
@@ -156,18 +173,23 @@ class TestSessionLifecycle:
     def test_shared_evaluator_is_persistent_and_cached(self):
         session = RefinementSession(
             dense_distribution(5, 16), CrowdModel(0.8),
-            parallel=ParallelPolicy(workers=2),
+            runtime=RuntimeOptions(workers=2),
         )
         evaluator = session.shared_evaluator()
         assert evaluator is not None
-        assert evaluator.persistent
+        # A session-owned pool is a pool with exactly one attachment.
+        assert evaluator.pool.attached == 1
+        assert session.parallel_policy == evaluator.pool.policy
         assert session.shared_evaluator() is evaluator
         session.close()
+        assert evaluator.pool.attached == 0
 
     def test_session_pool_close_releases_every_session(self):
         pool = SessionPool()
-        policy = ParallelPolicy(workers=2)
-        first = pool.add("a", dense_distribution(5, 16), CrowdModel(0.8), parallel=policy)
+        first = pool.add(
+            "a", dense_distribution(5, 16), CrowdModel(0.8),
+            runtime=RuntimeOptions(workers=2),
+        )
         second = pool.add("b", dense_distribution(5, 16, seed=1), CrowdModel(0.8))
         first_evaluator = first.shared_evaluator()
         assert first_evaluator is not None
@@ -176,20 +198,42 @@ class TestSessionLifecycle:
         assert first.shared_evaluator() is not first_evaluator
         assert second.shared_evaluator() is None
 
-    def test_engine_requires_policy_for_persistent_pool(self):
-        with pytest.raises(SelectionError):
-            CrowdFusionEngine(
-                GreedySelector(), CrowdModel(0.8), budget=4, tasks_per_round=2,
-                persistent_pool=True,
-            )
+    def test_scans_below_threshold_allocate_no_shared_memory(self):
+        # Rings are created by the fork that needs them, so a session whose
+        # scans all stay under the threshold never touches /dev/shm.
+        before = set(parallel._LIVE_RINGS)
+        with RefinementSession(
+            dense_distribution(6, 32), CrowdModel(0.8),
+            runtime=RuntimeOptions(workers=2),
+        ) as session:
+            session.select(GreedySelector(), 2)
+            assert session.shared_evaluator().pool.attached == 1
+            assert not session.shared_evaluator().pool.forked
+            assert set(parallel._LIVE_RINGS) == before
 
-    def test_engine_rejects_persistent_pool_without_fork(self, monkeypatch):
-        monkeypatch.setattr("repro.core.engine.fork_available", lambda: False)
-        with pytest.raises(SelectionError, match="fork"):
-            CrowdFusionEngine(
-                GreedySelector(), CrowdModel(0.8), budget=4, tasks_per_round=2,
-                parallel=ParallelPolicy(workers=2), persistent_pool=True,
+    def test_runtime_workers_and_shared_pool_are_exclusive(self):
+        with EvaluatorPool(ParallelPolicy(workers=2)) as pool:
+            with pytest.raises(SelectionError, match="evaluator_pool"):
+                RefinementSession(
+                    dense_distribution(5, 16), CrowdModel(0.8),
+                    runtime=RuntimeOptions(workers=2), evaluator_pool=pool,
+                )
+
+    def test_closing_an_attached_session_leaves_the_callers_pool_open(self):
+        with EvaluatorPool(ParallelPolicy(workers=2)) as pool:
+            first = RefinementSession(
+                dense_distribution(5, 16), CrowdModel(0.8), evaluator_pool=pool
             )
+            second = RefinementSession(
+                dense_distribution(5, 16, seed=1), CrowdModel(0.8),
+                evaluator_pool=pool,
+            )
+            first.shared_evaluator()
+            second.shared_evaluator()
+            first.close()
+            assert pool.attached == 1
+            second.close()
+            assert pool.attached == 0
 
 
 @pytest.mark.parallel
@@ -201,47 +245,49 @@ class TestNoLeakedWorkers:
         engine = EntropyEngine(dist, CrowdModel(0.8))
         policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         with pytest.raises(Exception):
-            with ParallelEvaluator(engine, policy) as evaluator:
+            with EvaluatorPool(policy) as pool:
                 # Unknown fact ids make the workers raise mid-scan; the
                 # context manager must still terminate the forked pool.
-                evaluator.evaluate(engine.initial_state(), ["f0", "no-such-fact"])
+                pool.attach(engine).evaluate(
+                    engine.initial_state(), ["f0", "no-such-fact"]
+                )
         assert multiprocessing.active_children() == []
 
-    def test_per_call_pool_reclaimed_when_selector_raises_mid_scan(self):
-        class ExplodingGreedy(GreedySelector):
-            def _runner(self, engine, k, candidates, evaluator):
-                evaluator.evaluate(engine.initial_state(), list(candidates))
-                raise RuntimeError("boom")
-
+    def test_engine_pool_reclaimed_when_selector_raises_mid_scan(self):
         dist = dense_distribution(8, 64)
-        selector = ExplodingGreedy(
-            parallel=ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
+        engine = CrowdFusionEngine(
+            ExplodingGreedy(), CrowdModel(0.8), budget=4, tasks_per_round=2,
+            runtime=POOLED,
         )
         with pytest.raises(RuntimeError, match="boom"):
-            selector.select(dist, CrowdModel(0.8), 2)
+            engine.run(dist, lambda task_ids: scripted_answers(task_ids, 0))
         assert multiprocessing.active_children() == []
 
     def test_session_context_reclaims_persistent_pool_on_exception(self):
-        class ExplodingGreedy(GreedySelector):
-            def _runner(self, engine, k, candidates, evaluator):
-                evaluator.evaluate(engine.initial_state(), list(candidates))
-                raise RuntimeError("boom")
-
         dist = dense_distribution(8, 64)
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         with pytest.raises(RuntimeError, match="boom"):
-            with RefinementSession(dist, CrowdModel(0.8), parallel=policy) as session:
+            with RefinementSession(dist, CrowdModel(0.8), runtime=POOLED) as session:
                 session.select(GreedySelector(), 2)  # forks the persistent pool
                 assert multiprocessing.active_children() != []
                 session.select(ExplodingGreedy(), 2)
         assert multiprocessing.active_children() == []
 
+    def test_closed_session_reattaches_on_next_parallel_scan(self):
+        dist = dense_distribution(8, 64)
+        with RefinementSession(dist, CrowdModel(0.8), runtime=POOLED) as session:
+            first = session.select(GreedySelector(), 2)
+            session.close()
+            assert multiprocessing.active_children() == []
+            again = session.select(GreedySelector(), 2)
+            assert again.task_ids == first.task_ids
+            assert again.stats.parallel_evaluations > 0
+        assert multiprocessing.active_children() == []
+
     def test_crowdfusion_engine_releases_pool_when_provider_raises(self):
         dist = dense_distribution(8, 64)
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         engine = CrowdFusionEngine(
             GreedySelector(), CrowdModel(0.8), budget=6, tasks_per_round=2,
-            parallel=policy, persistent_pool=True,
+            runtime=POOLED,
         )
 
         calls = {"count": 0}
@@ -264,8 +310,8 @@ class TestPersistentPoolEquivalence:
         dist = dense_distribution(12, 512, seed=3)
         crowd = CrowdModel(0.8)
         serial = run_rounds(RefinementSession(dist, crowd), GreedySelector())
-        policy = ParallelPolicy(workers=workers, parallel_threshold=FORCE_PARALLEL)
-        with RefinementSession(dist, crowd, parallel=policy) as session:
+        runtime = RuntimeOptions(workers=workers, parallel_threshold=FORCE_PARALLEL)
+        with RefinementSession(dist, crowd, runtime=runtime) as session:
             persistent = run_rounds(session, GreedySelector())
         assert_histories_match(serial, persistent)
         if workers >= 2:
@@ -278,8 +324,7 @@ class TestPersistentPoolEquivalence:
         dist = dense_distribution(10, 256, seed=4)
         channel = heterogeneous_channel(dist.fact_ids)
         serial = run_rounds(RefinementSession(dist, channel), GreedySelector())
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        with RefinementSession(dist, channel, parallel=policy) as session:
+        with RefinementSession(dist, channel, runtime=POOLED) as session:
             persistent = run_rounds(session, GreedySelector())
         assert_histories_match(serial, persistent)
 
@@ -289,8 +334,7 @@ class TestPersistentPoolEquivalence:
         serial = run_rounds(
             RefinementSession(dist, crowd), PrunedPreprocessingGreedySelector()
         )
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        with RefinementSession(dist, crowd, parallel=policy) as session:
+        with RefinementSession(dist, crowd, runtime=POOLED) as session:
             persistent = run_rounds(session, PrunedPreprocessingGreedySelector())
         assert_histories_match(serial, persistent)
 
@@ -299,11 +343,10 @@ class TestPersistentPoolEquivalence:
         dist = dense_distribution(10, 256, seed=6)
         crowd = CrowdModel(0.8)
         serial = run_rounds(
-            RefinementSession(dist, crowd, recalibrate=True), GreedySelector()
+            RefinementSession(dist, crowd, runtime=RECALIBRATING), GreedySelector()
         )
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         with RefinementSession(
-            dist, crowd, recalibrate=True, parallel=policy
+            dist, crowd, runtime=RECALIBRATING_POOLED
         ) as session:
             persistent = run_rounds(session, GreedySelector())
             assert session.channel is not crowd  # a swap actually happened
@@ -319,10 +362,8 @@ class TestPersistentPoolEquivalence:
         serial = CrowdFusionEngine(
             GreedySelector(), crowd, budget=8, tasks_per_round=2
         ).run(dist, provider)
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         persistent = CrowdFusionEngine(
-            GreedySelector(), crowd, budget=8, tasks_per_round=2,
-            parallel=policy, persistent_pool=True,
+            GreedySelector(), crowd, budget=8, tasks_per_round=2, runtime=POOLED,
         ).run(dist, provider)
         assert [r.task_ids for r in persistent.rounds] == [
             r.task_ids for r in serial.rounds
@@ -340,9 +381,9 @@ class TestParallelLazyGreedy:
         dist = dense_distribution(12, 512, seed=8)
         crowd = CrowdModel(0.8)
         serial = LazyGreedySelector().select(dist, crowd, 5)
-        parallel = LazyGreedySelector(
-            parallel=ParallelPolicy(workers=workers, parallel_threshold=FORCE_PARALLEL)
-        ).select(dist, crowd, 5)
+        runtime = RuntimeOptions(workers=workers, parallel_threshold=FORCE_PARALLEL)
+        with RefinementSession(dist, crowd, runtime=runtime) as session:
+            parallel = session.select(LazyGreedySelector(), 5)
         assert parallel.task_ids == serial.task_ids
         assert abs(parallel.objective - serial.objective) < 1e-9
         assert parallel.stats.parallel_evaluations > 0
@@ -353,9 +394,8 @@ class TestParallelLazyGreedy:
         dist = dense_distribution(11, 256, seed=9)
         crowd = CrowdModel(0.8)
         plain = GreedySelector().select(dist, crowd, 4)
-        waves = LazyGreedySelector(
-            parallel=ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        ).select(dist, crowd, 4)
+        with RefinementSession(dist, crowd, runtime=POOLED) as session:
+            waves = session.select(LazyGreedySelector(), 4)
         assert waves.task_ids == plain.task_ids
         assert abs(waves.objective - plain.objective) < 1e-9
 
@@ -363,8 +403,7 @@ class TestParallelLazyGreedy:
         dist = dense_distribution(12, 512, seed=10)
         channel = heterogeneous_channel(dist.fact_ids)
         serial = run_rounds(RefinementSession(dist, channel), LazyGreedySelector())
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        with RefinementSession(dist, channel, parallel=policy) as session:
+        with RefinementSession(dist, channel, runtime=POOLED) as session:
             persistent = run_rounds(session, LazyGreedySelector())
         assert_histories_match(serial, persistent)
 
@@ -375,9 +414,9 @@ class TestParallelLazyGreedy:
         dist = dense_distribution(10, 128, seed=11)
         crowd = CrowdModel(0.8)
         serial = LazyGreedySelector().select(dist, crowd, 4)
-        guarded = LazyGreedySelector(
-            parallel=ParallelPolicy(workers=4)  # default threshold: stays serial
-        ).select(dist, crowd, 4)
+        # Default threshold: every wave stays serial.
+        with RefinementSession(dist, crowd, runtime=RuntimeOptions(workers=4)) as session:
+            guarded = session.select(LazyGreedySelector(), 4)
         assert guarded.task_ids == serial.task_ids
         assert guarded.objective == serial.objective
         assert guarded.stats.workers == 0
@@ -394,8 +433,7 @@ class TestSessionInterplayOnPersistentPool:
         dist = dense_distribution(10, 256, seed=12)
         crowd = CrowdModel(0.8)
         queries = [Query.of(("f0", "f4")), Query.of(("f2",)), Query.of(("f6", "f8"))]
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
-        with RefinementSession(dist, crowd, parallel=policy) as session:
+        with RefinementSession(dist, crowd, runtime=POOLED) as session:
             session.select(GreedySelector(), 3)  # fork the pool first
             session.merge(AnswerSet.from_mapping({"f0": True, "f5": False}))
             batched = session.select_queries(queries, 3)
@@ -409,9 +447,8 @@ class TestSessionInterplayOnPersistentPool:
         dist = dense_distribution(9, 128, seed=13)
         crowd = CrowdModel(0.8)
         queries = [Query.of(("f0",)), Query.of(("f3", "f5"))]
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
         with SessionPool() as pool:
-            pool.add("entity", dist, crowd, parallel=policy)
+            pool.add("entity", dist, crowd, runtime=POOLED)
             pool["entity"].select(GreedySelector(), 2)
             pooled = pool.select_queries("entity", queries, 2)
         direct = RefinementSession(dist, crowd).select_queries(queries, 2)
@@ -422,7 +459,6 @@ class TestSessionInterplayOnPersistentPool:
         dist = dense_distribution(9, 128, seed=14)
         crowd = CrowdModel(0.8)
         queries = [Query.of(("f1", "f2")), Query.of(("f7",))]
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
 
         def drive(session):
             for round_index in range(2):
@@ -430,10 +466,10 @@ class TestSessionInterplayOnPersistentPool:
                 session.merge(scripted_answers(result.task_ids, round_index))
             return session.select_queries(queries, 2)
 
-        serial_session = RefinementSession(dist, crowd, recalibrate=True)
+        serial_session = RefinementSession(dist, crowd, runtime=RECALIBRATING)
         serial = drive(serial_session)
         with RefinementSession(
-            dist, crowd, recalibrate=True, parallel=policy
+            dist, crowd, runtime=RECALIBRATING_POOLED
         ) as session:
             persistent = drive(session)
         for serial_result, result in zip(serial, persistent):

@@ -18,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.crowd import CrowdModel
+from repro.core.distribution import JointDistribution
 from repro.core.selection import parallel
-from repro.core.selection.parallel import _SnapshotRing
+from repro.core.selection.engine import EntropyEngine
+from repro.core.selection.parallel import EvaluatorPool, ParallelPolicy, _SnapshotRing
 
 SRC_DIR = str(Path(parallel.__file__).resolve().parents[3])
 
@@ -131,3 +134,24 @@ def test_guard_is_installed_once_per_owning_process():
             second.close()
     finally:
         ring.close()
+
+
+def _sigterm_is_default(_):
+    return signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+
+
+@pytest.mark.parallel
+def test_pool_workers_restore_the_default_sigterm_disposition():
+    """Pool workers must not keep the guard's Python-level SIGTERM handler.
+
+    ``Pool.terminate`` SIGTERMs workers that may be blocked in ``sem_wait``
+    on the task queue's lock; a Python handler never runs there, so such a
+    worker outlived the graceful teardown until the watchdog SIGKILLed it.
+    """
+    prior = JointDistribution.independent({"f0": 0.6, "f1": 0.3, "f2": 0.5})
+    with EvaluatorPool(ParallelPolicy(workers=2)) as pool:
+        pool.attach(EntropyEngine(prior, CrowdModel(0.8)))
+        # The fork creates the engine's snapshot ring, installing the guard.
+        workers = pool._ensure_pool()
+        assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+        assert workers.map(_sigterm_is_default, range(4), chunksize=1) == [True] * 4

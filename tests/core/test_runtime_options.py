@@ -1,10 +1,9 @@
-"""RuntimeOptions: validation, derived policies, and deprecation threading.
+"""RuntimeOptions: validation, derived policies, and threading through layers.
 
-One typed object now carries every execution knob through every layer
-(engine, session, session pool, experiment config, CLI).  This suite pins
-the validation rules, the policies each layer derives, and the one-release
-compatibility contract of the old loose keywords: they still work, they
-warn, and they cannot be combined with ``runtime=``.
+One typed object carries every execution knob through every layer (engine,
+session, session pool, experiment config, CLI).  This suite pins the
+validation rules, the policies each layer derives, and that ``runtime=`` is
+the one way in: no layer warns, and the removed loose keywords are gone.
 """
 
 import warnings
@@ -19,7 +18,7 @@ from repro.core.runtime import RuntimeOptions
 from repro.core.selection import ParallelPolicy, RefinementSession, SessionPool, get_selector
 from repro.core.selection.parallel import DEFAULT_PARALLEL_THRESHOLD
 from repro.evaluation import ExperimentConfig
-from repro.exceptions import CrowdFusionError, SelectionError
+from repro.exceptions import CrowdFusionError
 
 
 def small_distribution():
@@ -38,7 +37,6 @@ class TestValidation:
     def test_defaults_are_valid_and_serial(self):
         options = RuntimeOptions()
         assert options.parallel_policy is None
-        assert options.session_policy is None
         assert not options.parallel
 
     def test_nonpositive_workers_rejected(self):
@@ -53,18 +51,9 @@ class TestValidation:
         with pytest.raises(CrowdFusionError, match="parallel_entities"):
             RuntimeOptions(parallel_entities=0)
 
-    def test_persistent_pool_requires_workers(self):
-        with pytest.raises(CrowdFusionError, match="persistent_pool requires workers"):
-            RuntimeOptions(persistent_pool=True)
-
     def test_workers_and_entities_are_exclusive(self):
         with pytest.raises(CrowdFusionError, match="mutually exclusive"):
             RuntimeOptions(workers=2, parallel_entities=2)
-
-    def test_persistent_pool_needs_fork(self, monkeypatch):
-        monkeypatch.setattr("repro.core.runtime.fork_available", lambda: False)
-        with pytest.raises(CrowdFusionError, match="fork"):
-            RuntimeOptions(workers=2, persistent_pool=True)
 
 
 class TestDerivedPolicies:
@@ -77,25 +66,13 @@ class TestDerivedPolicies:
         policy = RuntimeOptions(workers=2).parallel_policy
         assert policy.parallel_threshold == DEFAULT_PARALLEL_THRESHOLD
 
-    def test_session_policy_only_with_persistent_pool(self):
-        assert RuntimeOptions(workers=2).session_policy is None
-        options = RuntimeOptions(workers=2, persistent_pool=True)
-        assert options.session_policy == options.parallel_policy
-
     def test_parallel_flag_covers_both_axes(self):
         assert RuntimeOptions(workers=2).parallel
         assert RuntimeOptions(parallel_entities=2).parallel
         assert not RuntimeOptions(recalibrate=True).parallel
 
 
-class TestSessionDeprecation:
-    def test_legacy_recalibrate_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="recalibrate"):
-            session = RefinementSession(
-                small_distribution(), CrowdModel(0.8), recalibrate=True
-            )
-        assert session.recalibrates
-
+class TestSessionRuntime:
     def test_runtime_spelling_is_warning_free(self, no_deprecations):
         session = RefinementSession(
             small_distribution(),
@@ -104,14 +81,12 @@ class TestSessionDeprecation:
         )
         assert session.recalibrates
 
-    def test_both_spellings_conflict(self):
-        with pytest.raises(SelectionError, match="both runtime="):
-            RefinementSession(
-                small_distribution(),
-                CrowdModel(0.8),
-                recalibrate=True,
-                runtime=RuntimeOptions(recalibrate=True),
-            )
+    def test_workers_give_the_session_its_policy(self, no_deprecations):
+        runtime = RuntimeOptions(workers=2, parallel_threshold=9)
+        with RefinementSession(
+            small_distribution(), CrowdModel(0.8), runtime=runtime
+        ) as session:
+            assert session.parallel_policy == runtime.parallel_policy
 
     def test_pool_add_forwards_runtime(self, no_deprecations):
         with SessionPool() as pool:
@@ -123,64 +98,32 @@ class TestSessionDeprecation:
             )
             assert session.recalibrates
 
-    def test_pool_add_legacy_recalibrate_warns(self):
-        with SessionPool() as pool:
-            with pytest.warns(DeprecationWarning, match="recalibrate"):
-                pool.add("entity", small_distribution(), CrowdModel(0.8), recalibrate=True)
 
-
-class TestEngineDeprecation:
+class TestEngineRuntime:
     def _engine(self, **kwargs):
         return CrowdFusionEngine(
             get_selector("greedy"), CrowdModel(0.8), budget=4, tasks_per_round=2, **kwargs
         )
 
-    def test_legacy_keywords_warn(self):
-        with pytest.warns(DeprecationWarning, match="recalibrate_channels"):
-            self._engine(recalibrate_channels=True)
-
     def test_runtime_spelling_is_warning_free(self, no_deprecations):
         self._engine(runtime=RuntimeOptions(recalibrate=True))
 
-    def test_both_spellings_conflict(self):
-        with pytest.raises(SelectionError, match="both runtime="):
-            self._engine(
-                recalibrate_channels=True, runtime=RuntimeOptions(recalibrate=True)
+    def test_non_parallel_selector_warns_about_ignored_workers(self):
+        with pytest.warns(RuntimeWarning, match="does not support parallel"):
+            CrowdFusionEngine(
+                get_selector("fact_entropy"), CrowdModel(0.8), budget=4,
+                tasks_per_round=2, runtime=RuntimeOptions(workers=2),
             )
 
-    def test_runtime_supplies_policy_and_persistence(self, no_deprecations):
-        engine = self._engine(
-            runtime=RuntimeOptions(workers=2, parallel_threshold=0, persistent_pool=True)
-        )
-        assert engine._parallel == ParallelPolicy(workers=2, parallel_threshold=0)
-        assert engine._persistent_pool
 
-    def test_runtime_persistent_pool_still_needs_fork(self, monkeypatch):
-        runtime = RuntimeOptions(workers=2, persistent_pool=True)
-        monkeypatch.setattr("repro.core.engine.fork_available", lambda: False)
-        with pytest.raises(SelectionError, match="fork"):
-            self._engine(runtime=runtime)
-
-
-class TestExperimentConfigDeprecation:
-    def test_legacy_fields_warn(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            ExperimentConfig(workers=2)
-
+class TestExperimentConfigRuntime:
     def test_runtime_spelling_is_warning_free(self, no_deprecations):
         config = ExperimentConfig(runtime=RuntimeOptions(workers=2, parallel_threshold=5))
         assert config.parallel_policy == ParallelPolicy(workers=2, parallel_threshold=5)
         assert config.runtime_options.workers == 2
 
-    def test_both_spellings_conflict(self):
-        with pytest.raises(CrowdFusionError, match="both runtime="):
-            ExperimentConfig(workers=2, runtime=RuntimeOptions(workers=2))
-
-    def test_legacy_fields_synthesise_equivalent_runtime(self):
-        with pytest.warns(DeprecationWarning):
-            config = ExperimentConfig(recalibrate_channels=True, parallel_entities=3)
-        options = config.runtime_options
-        assert options.recalibrate and options.parallel_entities == 3
+    def test_unset_runtime_is_serial(self):
+        assert ExperimentConfig().runtime_options == RuntimeOptions()
 
     def test_replace_keeps_runtime_field_verbatim(self, no_deprecations):
         runtime = RuntimeOptions(recalibrate=True)
@@ -190,3 +133,39 @@ class TestExperimentConfigDeprecation:
     def test_runtime_invalid_combination_still_rejected(self):
         with pytest.raises(CrowdFusionError, match="mutually exclusive"):
             ExperimentConfig(runtime=RuntimeOptions(workers=2, parallel_entities=2))
+
+
+class TestRemovedKeywords:
+    """``runtime=`` is the only way in: the old loose keywords are gone."""
+
+    def test_session_rejects_loose_keywords(self):
+        for keyword in ("recalibrate", "parallel"):
+            with pytest.raises(TypeError, match=keyword):
+                RefinementSession(
+                    small_distribution(), CrowdModel(0.8), **{keyword: None}
+                )
+
+    def test_engine_rejects_loose_keywords(self):
+        for keyword in ("parallel", "recalibrate_channels", "persistent_pool"):
+            with pytest.raises(TypeError, match=keyword):
+                CrowdFusionEngine(
+                    get_selector("greedy"), CrowdModel(0.8), budget=4,
+                    tasks_per_round=2, **{keyword: None},
+                )
+
+    def test_experiment_config_rejects_loose_fields(self):
+        for field in (
+            "recalibrate_channels", "workers", "parallel_threshold",
+            "persistent_pool", "parallel_entities",
+        ):
+            with pytest.raises(TypeError, match=field):
+                ExperimentConfig(**{field: None})
+
+    def test_runtime_options_has_no_persistent_pool(self):
+        with pytest.raises(TypeError, match="persistent_pool"):
+            RuntimeOptions(persistent_pool=True)
+
+    def test_selectors_take_no_parallel_policy(self):
+        with pytest.raises(TypeError):
+            get_selector("greedy").__class__(parallel=ParallelPolicy(workers=2))
+        assert not hasattr(get_selector("greedy_lazy"), "parallel")

@@ -132,15 +132,11 @@ class TestParallelFlags:
         args = build_parser().parse_args(["experiment"])
         assert args.workers is None
         assert args.parallel_threshold is None
-        assert args.persistent_pool is False
         assert args.parallel_entities is None
 
-    def test_persistent_pool_without_workers_is_a_clean_error(self, capsys):
-        code = main(
-            ["experiment", "--books", "4", "--sources", "8", "--persistent-pool"]
-        )
-        assert code == 2
-        assert "persistent_pool requires workers" in capsys.readouterr().err
+    def test_persistent_pool_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "--persistent-pool"])
 
     def test_workers_and_parallel_entities_conflict_is_a_clean_error(self, capsys):
         code = main(
@@ -155,15 +151,15 @@ class TestParallelFlags:
 
 @pytest.mark.parallel
 class TestParallelCommands:
-    def test_experiment_with_persistent_pool(self, capsys):
+    def test_experiment_with_workers(self, capsys):
         code = main(
             [
                 "experiment", "--books", "4", "--sources", "8", "--seed", "2",
-                "--budget", "4", "--workers", "2", "--persistent-pool",
+                "--budget", "4", "--workers", "2", "--parallel-threshold", "0",
             ]
         )
         assert code == 0
-        assert "workers 2 (persistent pool)" in capsys.readouterr().out
+        assert "workers 2" in capsys.readouterr().out
 
     def test_experiment_with_parallel_entities(self, capsys):
         code = main(
