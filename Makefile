@@ -6,7 +6,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test bench bench-smoke bench-scan-smoke chaos-smoke serve-smoke orchestrate-smoke cluster-smoke
+.PHONY: test bench bench-smoke bench-scan-smoke chaos-smoke serve-smoke orchestrate-smoke cluster-smoke loc
 
 # Tier-1 suite: the fast default (excludes the slow 2^20-support scenarios).
 test:
@@ -79,3 +79,10 @@ serve-smoke:
 # processes leaked.
 cluster-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.orchestration.cluster_smoke
+
+# Code size, the ROADMAP's simplicity metric: total lines of the Python files
+# under src/, tests/ and benchmarks/.
+loc:
+	@for dir in src tests benchmarks; do \
+		printf '%-12s %6d\n' "$$dir/" "$$(find $$dir -name '*.py' -exec cat {} + | wc -l)"; \
+	done

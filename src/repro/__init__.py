@@ -65,7 +65,7 @@ from repro.service import (
     serve,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     # value types

@@ -181,10 +181,10 @@ class WorkerCrashError(SelectionError):
 # gets back to bytecode — a worker blocked there would absorb the signal and
 # stay alive until the teardown watchdog SIGKILLs it.  The pool initializer
 # (:func:`restore_default_sigterm`) therefore restores the default disposition.
-# Both reap paths stay owner-pid-guarded all the same: other forked children
-# (the orchestrator's shard processes) still inherit the handler and the
-# registry, and without the pid check a dying child would unlink the
-# parent's *live* segments.
+# The orchestrator's and cluster's forked workers reset it on entry too.
+# Both reap paths stay owner-pid-guarded all the same: every forked child
+# inherits the registry (and the handler until it resets it), and without
+# the pid check a dying child would unlink the parent's *live* segments.
 # ---------------------------------------------------------------------------------------
 
 _LIVE_RINGS: "weakref.WeakSet[_SnapshotRing]" = weakref.WeakSet()

@@ -29,10 +29,11 @@ The crowd may be modelled at three fidelities (``ExperimentConfig.crowd_model``)
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.crowd import (
     CalibratedCrowdModel,
@@ -345,6 +346,16 @@ def _build_channel(
     )
 
 
+def entity_seeds(config: ExperimentConfig, index: int) -> Tuple[int, Optional[int]]:
+    """Entity ``index``'s worker and selector seeds (the latter only for ``random``)."""
+    selector_seed = (
+        config.seed * 104729 + index
+        if config.selector in ("random", "Random")
+        else None
+    )
+    return config.seed * 7919 + index, selector_seed
+
+
 def _prepare_entity(
     problem: EntityProblem,
     index: int,
@@ -354,12 +365,12 @@ def _prepare_entity(
     """Platform, channel, selector and budget for one entity.
 
     Shared by the serial lock-step loop and the entity fan-out workers: both
-    derive every random stream from ``config.seed`` and the entity's global
-    ``index``, so an entity's whole trajectory is identical no matter which
-    process runs it.
+    derive every random stream from :func:`entity_seeds`, so an entity's
+    whole trajectory is identical no matter which process runs it.
     """
+    worker_seed, selector_seed = entity_seeds(config, index)
     workers = WorkerPool.homogeneous(
-        size=25, accuracy=config.worker_accuracy, seed=config.seed * 7919 + index
+        size=25, accuracy=config.worker_accuracy, seed=worker_seed
     )
     platform = SimulatedPlatform(
         ground_truth=problem.gold,
@@ -370,11 +381,7 @@ def _prepare_entity(
     channel = _build_channel(config, problem, platform)
     selector = get_selector(
         config.selector,
-        **(
-            {"seed": config.seed * 104729 + index}
-            if config.selector in ("random", "Random")
-            else {}
-        ),
+        **({"seed": selector_seed} if selector_seed is not None else {}),
     )
     budget = budget_overrides.get(problem.entity, config.budget_per_entity)
     return platform, channel, selector, budget
@@ -549,11 +556,6 @@ class EntityTrajectory:
     rounds: List[TrajectoryRound]
 
 
-#: Backwards-compatible private aliases (pre-1.2 internal names).
-_TrajectoryRound = TrajectoryRound
-_EntityTrajectory = EntityTrajectory
-
-
 def run_entity_trajectory(
     problem: EntityProblem,
     index: int,
@@ -657,10 +659,25 @@ def assemble_curve(
     return points
 
 
-#: Fan-out work published to the fork pool: ``(problems, config, overrides)``.
-#: Set immediately before the pool forks and cleared right after — workers
-#: inherit the tuple through copy-on-write memory, nothing is pickled out.
-_FANOUT_CONTEXT: Optional[Tuple[List[EntityProblem], ExperimentConfig, Dict[str, int]]] = None
+#: The sweep forked entity workers run, ``(problems, config, overrides)``, set
+#: by :func:`publish_work` for every fork-based runner; workers inherit it
+#: through copy-on-write memory, nothing is pickled.
+_FORK_WORK: Optional[Tuple[List[EntityProblem], ExperimentConfig, Dict[str, int]]] = None
+
+
+@contextlib.contextmanager
+def publish_work(
+    problems: Sequence[EntityProblem],
+    config: ExperimentConfig,
+    budget_overrides: Mapping[str, int],
+) -> Iterator[None]:
+    """Publish the sweep to processes forked inside the block, then clear it."""
+    global _FORK_WORK
+    _FORK_WORK = (list(problems), config, dict(budget_overrides))
+    try:
+        yield
+    finally:
+        _FORK_WORK = None
 
 
 def _entity_trajectory(index: int) -> EntityTrajectory:
@@ -669,7 +686,7 @@ def _entity_trajectory(index: int) -> EntityTrajectory:
     A thin shim over :func:`run_entity_trajectory` reading the work tuple
     from the fork-inherited module global.
     """
-    problems, config, budget_overrides = _FANOUT_CONTEXT
+    problems, config, budget_overrides = _FORK_WORK
     return run_entity_trajectory(problems[index], index, config, budget_overrides)
 
 
@@ -687,19 +704,14 @@ def _run_fanned_out(
     pooling labels in entity order — the identical floats, in the identical
     order, the serial loop produces.
     """
-    global _FANOUT_CONTEXT
     context = multiprocessing.get_context("fork")
     processes = min(config.runtime_options.parallel_entities, len(problems))
-    _FANOUT_CONTEXT = (problems, config, budget_overrides)
-    try:
-        with context.Pool(
-            processes=processes, initializer=restore_default_sigterm
-        ) as worker_pool:
-            trajectories = worker_pool.map(
-                _entity_trajectory, range(len(problems)), chunksize=1
-            )
-    finally:
-        _FANOUT_CONTEXT = None
+    with publish_work(problems, config, budget_overrides), context.Pool(
+        processes=processes, initializer=restore_default_sigterm
+    ) as worker_pool:
+        trajectories = worker_pool.map(
+            _entity_trajectory, range(len(problems)), chunksize=1
+        )
 
     gold: Dict[str, bool] = {}
     for problem in problems:

@@ -34,6 +34,13 @@ dead or zombie leases with monotonically increasing epochs, and adds::
 Worker journals are merged deterministically on resume and assembly
 (:func:`merge_journals`), so a migrated or reassigned sweep's curve stays
 bit-identical to an undisturbed single-host run.
+
+Both runners are I/O shells around one sweep ledger (``_RunState`` in
+:mod:`repro.orchestration.orchestrator`), which holds the pending queue
+(lowest index first), charges failed attempts, re-enqueues a failed entity
+at once and quarantines it after ``max_attempts``; and around one
+run-directory open/close (``run_sweep``).  The shard pool's pipes and the
+coordinator's sockets and leases only decide *where* an entity runs.
 """
 
 from repro.orchestration.journal import (

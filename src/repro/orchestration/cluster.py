@@ -34,9 +34,12 @@ trusts late arrivals:
   because every path converges on the same per-entity seeds and the same
   :func:`~repro.orchestration.orchestrator.assemble_result`.
 
-Failed entities reuse the single-host retry machinery: each fenced or
-failed attempt is charged, re-enqueued with linear backoff, and quarantined
-after ``max_attempts``.  ``local_workers`` forks loopback worker
+The coordinator is an I/O shell around the single-host orchestrator's sweep
+ledger (:class:`~repro.orchestration.orchestrator._RunState`) and run
+directory open/close (:func:`~repro.orchestration.orchestrator.run_sweep`):
+it only decides which worker gets which range.  The ledger charges each
+fenced or failed attempt, re-enqueues the entity at once, and quarantines
+it after ``max_attempts``.  ``local_workers`` forks loopback worker
 subprocesses (context shipped copy-on-write), so the whole cluster is
 testable in one process tree; remote workers join with
 ``crowdfusion shard-worker --connect HOST:PORT``.
@@ -49,8 +52,8 @@ import selectors
 import socket
 import time
 import uuid
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import multiprocessing
 
@@ -59,36 +62,30 @@ from repro.core.selection.parallel import (
     register_shutdown_reaper,
     unregister_shutdown_reaper,
 )
-from repro.evaluation.experiment import EntityProblem, ExperimentConfig
+from repro.evaluation.experiment import (
+    EntityProblem,
+    ExperimentConfig,
+    publish_work,
+)
 from repro.evaluation.reporting import CurveStream
 from repro.exceptions import OrchestrationError
 from repro.orchestration import cluster_worker as _worker_module
 from repro.orchestration import wire
-from repro.orchestration.journal import (
-    JournalWriter,
-    RunLock,
-    atomic_write_json,
-    merge_journals,
-    read_json,
-)
-from repro.orchestration.orchestrator import (
-    CHECKPOINT_NAME,
-    JOURNAL_NAME,
-    LOCK_NAME,
+from repro.orchestration.journal import atomic_write_json, read_json
+from repro.orchestration.orchestrator import (  # noqa: F401 - re-exported names
+    WORKER_JOURNAL_PREFIX,
     OrchestratorReport,
     _fingerprint,
     _RunState,
     assemble_result,
-    check_manifest,
-    entity_done_record,
+    reap_processes,
+    run_sweep,
+    worker_journal_paths,
 )
 from repro.service.api import MAX_LINE_BYTES
 
 #: Atomic lease/epoch snapshot, sibling of the checkpoint.
 LEASES_NAME = "leases.json"
-
-#: Worker journal naming; ``merge_journals`` globs this prefix on resume.
-WORKER_JOURNAL_PREFIX = "journal-"
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ class ClusterConfig:
         under ``lease_ttl_s`` so one dropped beat is not a death sentence.
     lease_entities:
         Maximum contiguous entity indices per lease grant.
-    max_attempts / retry_backoff_s / resume:
+    max_attempts / resume:
         Exactly the single-host semantics (fenced leases charge an attempt
         per pending entity).
     local_workers:
@@ -125,7 +122,6 @@ class ClusterConfig:
     heartbeat_s: float = 2.0
     lease_entities: int = 4
     max_attempts: int = 3
-    retry_backoff_s: float = 0.0
     resume: bool = False
     local_workers: int = 0
 
@@ -149,10 +145,6 @@ class ClusterConfig:
             raise OrchestrationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.retry_backoff_s < 0:
-            raise OrchestrationError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
         if self.local_workers < 0:
             raise OrchestrationError(
                 f"local_workers must be >= 0, got {self.local_workers}"
@@ -172,15 +164,7 @@ class ClusterStats:
     duplicates_dropped: int = 0
 
     def to_payload(self) -> Dict[str, Any]:
-        return {
-            "epoch": self.epoch,
-            "leases_granted": self.leases_granted,
-            "leases_expired": self.leases_expired,
-            "disconnects": self.disconnects,
-            "results_accepted": self.results_accepted,
-            "results_rejected": self.results_rejected,
-            "duplicates_dropped": self.duplicates_dropped,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -217,35 +201,29 @@ class _Lease:
     start: int
     stop: int
     deadline: float
-    pending: Set[int] = field(default_factory=set)
-    attempt_of: Dict[int, int] = field(default_factory=dict)
+    #: Entity index -> attempt number, for the indices not yet answered.
+    pending: Dict[int, int] = field(default_factory=dict)
 
 
 class _LocalWorkerPool:
     """Forks and reaps the coordinator's loopback worker subprocesses."""
 
-    def __init__(self, count: int, host: str, port: int) -> None:
+    def __init__(
+        self, count: int, host: str, port: int, listener: socket.socket
+    ) -> None:
         context = multiprocessing.get_context("fork")
         self.processes = []
         for ordinal in range(count):
             process = context.Process(
                 target=_worker_module.local_worker_main,
-                args=(host, port, f"local-{ordinal}"),
+                args=(host, port, f"local-{ordinal}", listener),
                 daemon=True,
             )
             process.start()
             self.processes.append(process)
 
     def reap_on_shutdown(self) -> None:
-        for process in self.processes:
-            if process.is_alive():
-                process.terminate()
-        for process in self.processes:
-            if process.is_alive():
-                process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover - stuck in syscall
-                process.kill()
-                process.join(timeout=1.0)
+        reap_processes(self.processes)
 
     def join(self, timeout: float = 5.0) -> None:
         deadline = time.monotonic() + timeout
@@ -254,74 +232,41 @@ class _LocalWorkerPool:
         self.reap_on_shutdown()
 
 
-def _safe_worker_name(worker: str) -> str:
-    """Filesystem-safe journal suffix for a worker id."""
-    return "".join(c if c.isalnum() or c in "-_." else "_" for c in worker) or "worker"
-
-
-def worker_journal_paths(run_dir: str) -> List[str]:
-    """Every per-worker journal currently present in ``run_dir``."""
-    return sorted(
-        os.path.join(run_dir, name)
-        for name in os.listdir(run_dir)
-        if name.startswith(WORKER_JOURNAL_PREFIX) and name.endswith(".jsonl")
-    )
-
-
 class _Coordinator:
-    """The selector-driven event loop behind :func:`run_cluster_experiment`."""
+    """The selector-driven event loop behind :func:`run_cluster_experiment`.
+
+    An I/O shell around the sweep ledger: it grants leases from the
+    ledger's queue, fences them, and reports each result or fenced entity
+    back to the ledger, which journals and checkpoints it.  Coordinator
+    decisions go through :meth:`_RunState.log`, wall-clock stamped: the
+    ``ts`` stamp never touches entity payloads (those live in the worker
+    journals and must stay bit-reproducible); it exists so fault timelines —
+    kill to expiry to re-grant — can be reconstructed from the decision log
+    alone.
+    """
 
     def __init__(
         self,
         problems: List[EntityProblem],
         config: ExperimentConfig,
         cluster: ClusterConfig,
-        budget_overrides: Dict[str, int],
-        state: _RunState,
-        journal: JournalWriter,
+        on_listening: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.problems = problems
         self.config = config
         self.cluster = cluster
-        self.budget_overrides = budget_overrides
-        self.state = state
-        self.journal = journal
+        self.on_listening = on_listening
         self.stats = ClusterStats()
-        self.run_dir = cluster.run_dir
-        self.checkpoint_path = os.path.join(self.run_dir, CHECKPOINT_NAME)
-        self.leases_path = os.path.join(self.run_dir, LEASES_NAME)
-        self.digest = wire.fingerprint_digest(
-            _fingerprint(problems, config, budget_overrides)
-        )
-        #: Work queue: entity index -> (attempt number, earliest dispatch).
-        self.queue: Dict[int, Tuple[int, float]] = {
-            index: (state.attempts.get(index, 0) + 1, 0.0)
-            for index in state.pending_indices()
-        }
+        self.leases_path = os.path.join(cluster.run_dir, LEASES_NAME)
         self.active: Dict[str, _Lease] = {}
-        self.worker_journals: Dict[str, JournalWriter] = {}
         self.selector = selectors.DefaultSelector()
         self.listener: Optional[socket.socket] = None
         self.port = 0
-        # Re-fence: any lease the previous coordinator incarnation granted
-        # is dead the moment this one starts at a strictly higher epoch.
-        stored = read_json(self.leases_path)
-        self.epoch = int(stored["epoch"]) + 1 if stored else 1
-        self.stats.epoch = self.epoch
-        self._persist_leases()
+        self.epoch = 0
+        self.digest = ""
+        self.state: Optional[_RunState] = None
 
     # -- durability ---------------------------------------------------------------------
-
-    def _journal(self, record: Dict[str, Any]) -> None:
-        """Append one coordinator decision record, wall-clock stamped.
-
-        The ``ts`` stamp never touches entity payloads (those live in the
-        worker journals and must stay bit-reproducible); it exists so fault
-        timelines — kill to expiry to re-grant — can be reconstructed from
-        the decision log alone.
-        """
-        record["ts"] = time.time()
-        self.journal.append(record)
 
     def _persist_leases(self) -> None:
         atomic_write_json(
@@ -342,22 +287,6 @@ class _Coordinator:
                 "stats": self.stats.to_payload(),
             },
         )
-
-    def _checkpoint(self, status: str = "running") -> None:
-        atomic_write_json(
-            self.checkpoint_path, self.state.checkpoint_payload(status)
-        )
-
-    def _worker_journal(self, worker: str) -> JournalWriter:
-        name = _safe_worker_name(worker)
-        writer = self.worker_journals.get(name)
-        if writer is None:
-            path = os.path.join(
-                self.run_dir, f"{WORKER_JOURNAL_PREFIX}{name}.jsonl"
-            )
-            writer = JournalWriter(path)
-            self.worker_journals[name] = writer
-        return writer
 
     # -- socket plumbing ----------------------------------------------------------------
 
@@ -409,7 +338,7 @@ class _Coordinator:
             pass
         if conn.worker is not None:
             self.stats.disconnects += 1
-            self._journal(
+            self.state.log(
                 {
                     "type": "worker_disconnected",
                     "worker": conn.worker,
@@ -435,7 +364,7 @@ class _Coordinator:
         self.active.pop(lease.lease_id, None)
         if lease.conn.lease == lease.lease_id:
             lease.conn.lease = None
-        self._journal(
+        self.state.log(
             {
                 "type": "lease_expired",
                 "lease": lease.lease_id,
@@ -452,42 +381,11 @@ class _Coordinator:
             lease.conn,
             wire.LeaseRevoked(lease.lease_id, lease.epoch, reason),
         )
-        for index in sorted(lease.pending):
-            self._charge_failure(
-                index,
-                lease.attempt_of.get(index, 1),
-                f"lease {lease.lease_id} fenced ({reason})",
+        for index, attempt in sorted(lease.pending.items()):
+            self.state.fail(
+                index, attempt, f"lease {lease.lease_id} fenced ({reason})"
             )
         self._persist_leases()
-
-    def _charge_failure(self, index: int, attempt: int, message: str) -> None:
-        entity = self.problems[index].entity
-        self._journal(
-            {
-                "type": "entity_failed",
-                "index": index,
-                "entity": entity,
-                "attempt": attempt,
-                "error": message,
-            }
-        )
-        self.state.attempts[index] = max(self.state.attempts.get(index, 0), attempt)
-        if attempt >= self.cluster.max_attempts:
-            record = {
-                "type": "quarantined",
-                "index": index,
-                "entity": entity,
-                "attempts": attempt,
-                "error": message,
-            }
-            self._journal(record)
-            self.state.quarantined[index] = record
-            self._checkpoint()
-        else:
-            not_before = (
-                time.monotonic() + self.cluster.retry_backoff_s * attempt
-            )
-            self.queue[index] = (attempt + 1, not_before)
 
     # -- message handling ---------------------------------------------------------------
 
@@ -578,7 +476,7 @@ class _Coordinator:
             # pair — or a hijacked lease id from another connection — is
             # rejected and its result never touches a worker journal.
             self.stats.results_rejected += 1
-            self._journal(
+            self.state.log(
                 {
                     "type": "result_rejected",
                     "worker": result.worker,
@@ -594,7 +492,7 @@ class _Coordinator:
             # delivery (retransmit or injected duplicate).  Drop silently
             # but account for it.
             self.stats.duplicates_dropped += 1
-            self._journal(
+            self.state.log(
                 {
                     "type": "result_duplicate",
                     "worker": result.worker,
@@ -603,27 +501,20 @@ class _Coordinator:
                 }
             )
             return
-        lease.pending.discard(result.index)
+        attempt = lease.pending.pop(result.index)
         lease.deadline = time.monotonic() + self.cluster.lease_ttl_s
-        attempt = lease.attempt_of.get(result.index, 1)
         if result.ok and result.payload is not None:
-            record = entity_done_record(
-                self.problems, self.config, result.index, attempt, result.payload
-            )
-            record["worker"] = result.worker
-            self._worker_journal(result.worker).append(record)
-            self.state.completed[result.index] = record
             self.stats.results_accepted += 1
-            self._checkpoint()
+            self.state.done(result.index, attempt, result.payload, result.worker)
         else:
-            self._charge_failure(
+            self.state.fail(
                 result.index, attempt, result.error or "worker reported failure"
             )
         if not lease.pending:
             self.active.pop(lease.lease_id, None)
             if conn.lease == lease.lease_id:
                 conn.lease = None
-            self._journal(
+            self.state.log(
                 {
                     "type": "lease_complete",
                     "lease": lease.lease_id,
@@ -634,25 +525,6 @@ class _Coordinator:
 
     # -- granting -----------------------------------------------------------------------
 
-    def _pop_contiguous(self, now: float) -> Optional[List[int]]:
-        """The next contiguous run of eligible entity indices, or ``None``."""
-        eligible = sorted(
-            index
-            for index, (_attempt, not_before) in self.queue.items()
-            if not_before <= now
-        )
-        if not eligible:
-            return None
-        run = [eligible[0]]
-        for index in eligible[1:]:
-            if len(run) >= self.cluster.lease_entities:
-                break
-            if index == run[-1] + 1:
-                run.append(index)
-            else:
-                break
-        return run
-
     def _grant_leases(self, now: float) -> None:
         for key in list(self.selector.get_map().values()):
             conn = key.data
@@ -660,8 +532,8 @@ class _Coordinator:
                 continue
             if conn.lease is not None or conn.suspect:
                 continue
-            run = self._pop_contiguous(now)
-            if run is None:
+            taken = self.state.take(self.cluster.lease_entities)
+            if not taken:
                 return
             lease_id = f"lease-{self.stats.leases_granted}-{uuid.uuid4().hex[:8]}"
             lease = _Lease(
@@ -669,18 +541,15 @@ class _Coordinator:
                 worker=conn.worker,
                 conn=conn,
                 epoch=self.epoch,
-                start=run[0],
-                stop=run[-1] + 1,
+                start=taken[0][0],
+                stop=taken[-1][0] + 1,
                 deadline=now + self.cluster.lease_ttl_s,
-                pending=set(run),
-                attempt_of={index: self.queue[index][0] for index in run},
+                pending=dict(taken),
             )
-            for index in run:
-                del self.queue[index]
             self.active[lease_id] = lease
             conn.lease = lease_id
             self.stats.leases_granted += 1
-            self._journal(
+            self.state.log(
                 {
                     "type": "lease_granted",
                     "lease": lease_id,
@@ -688,9 +557,7 @@ class _Coordinator:
                     "epoch": lease.epoch,
                     "start": lease.start,
                     "stop": lease.stop,
-                    "attempts": {
-                        str(i): lease.attempt_of[i] for i in sorted(run)
-                    },
+                    "attempts": {str(i): attempt for i, attempt in taken},
                 }
             )
             self._persist_leases()
@@ -707,37 +574,64 @@ class _Coordinator:
 
     # -- the loop -----------------------------------------------------------------------
 
-    def run(self) -> None:
-        """Drive the sweep until every entity is completed or quarantined."""
-        self._checkpoint()
-        while self.queue or self.active:
-            now = time.monotonic()
-            self._grant_leases(now)
-            timeout = 0.2
-            if self.active:
-                nearest = min(lease.deadline for lease in self.active.values())
-                timeout = min(timeout, max(0.0, nearest - now))
-            for key, _events in self.selector.select(timeout):
-                if key.data is None:
-                    self._accept()
-                else:
-                    self._read_conn(key.data)
-            now = time.monotonic()
-            for lease in list(self.active.values()):
-                if lease.deadline <= now:
-                    self._fence_lease(
-                        lease,
-                        f"no heartbeat for {self.cluster.lease_ttl_s:.3f}s",
-                    )
-        self._checkpoint("complete")
-        self._persist_leases()
-        self._journal(
-            {"type": "cluster_stats", **self.stats.to_payload()}
+    def run(self, state: _RunState, budget_overrides: Dict[str, int]) -> None:
+        """Lease the ledger's queue out until every entity is settled."""
+        self.state = state
+        self.digest = wire.fingerprint_digest(
+            _fingerprint(self.problems, self.config, budget_overrides)
         )
-        for key in list(self.selector.get_map().values()):
-            conn = key.data
-            if conn is not None:
-                self._send(conn, wire.Shutdown("sweep complete"))
+        # Re-fence: any lease the previous coordinator incarnation granted
+        # is dead the moment this one starts at a strictly higher epoch.
+        stored = read_json(self.leases_path)
+        self.epoch = int(stored["epoch"]) + 1 if stored else 1
+        self.stats.epoch = self.epoch
+        self._persist_leases()
+        pool: Optional[_LocalWorkerPool] = None
+        try:
+            port = self.bind()
+            if self.on_listening is not None:
+                self.on_listening(port)
+            if self.cluster.local_workers:
+                with publish_work(self.problems, self.config, budget_overrides):
+                    pool = _LocalWorkerPool(
+                        self.cluster.local_workers,
+                        self.cluster.host,
+                        port,
+                        self.listener,
+                    )
+                register_shutdown_reaper(pool)
+            while state.queue or self.active:
+                self._step()
+            self._persist_leases()
+            state.log({"type": "cluster_stats", **self.stats.to_payload()})
+            for key in list(self.selector.get_map().values()):
+                if key.data is not None:
+                    self._send(key.data, wire.Shutdown("sweep complete"))
+        finally:
+            self.close()
+            if pool is not None:
+                unregister_shutdown_reaper(pool)
+                pool.join()
+
+    def _step(self) -> None:
+        """One loop turn: grant, serve ready sockets, fence expired leases."""
+        now = time.monotonic()
+        self._grant_leases(now)
+        timeout = 0.2
+        if self.active:
+            nearest = min(lease.deadline for lease in self.active.values())
+            timeout = min(timeout, max(0.0, nearest - now))
+        for key, _events in self.selector.select(timeout):
+            if key.data is None:
+                self._accept()
+            else:
+                self._read_conn(key.data)
+        now = time.monotonic()
+        for lease in list(self.active.values()):
+            if lease.deadline <= now:
+                self._fence_lease(
+                    lease, f"no heartbeat for {self.cluster.lease_ttl_s:.3f}s"
+                )
 
     def close(self) -> None:
         for key in list(self.selector.get_map().values()):
@@ -752,8 +646,6 @@ class _Coordinator:
             except OSError:  # pragma: no cover
                 pass
         self.selector.close()
-        for writer in self.worker_journals.values():
-            writer.close()
 
 
 def run_cluster_experiment(
@@ -762,7 +654,7 @@ def run_cluster_experiment(
     cluster: ClusterConfig,
     budgets: Optional[Mapping[str, int]] = None,
     stream: Optional[CurveStream] = None,
-    on_listening: Optional[Any] = None,
+    on_listening: Optional[Callable[[int], None]] = None,
 ) -> ClusterReport:
     """Run (or resume) a lease-fenced multi-host sweep and return its curve.
 
@@ -771,69 +663,23 @@ def run_cluster_experiment(
     callers can advertise the endpoint (the CLI prints it for the smoke
     harness; tests use it to start loopback workers).
     """
-    if not problems:
-        raise OrchestrationError("cannot orchestrate an empty problem list")
     if cluster.local_workers and not fork_available():
         raise OrchestrationError(
             "local cluster workers fork from the coordinator, which this "
             "platform does not support; use remote shard workers instead"
         )
-    budget_overrides = dict(budgets or {})
-    run_dir = cluster.run_dir
-    os.makedirs(run_dir, exist_ok=True)
-
-    with RunLock(os.path.join(run_dir, LOCK_NAME)):
-        fingerprint = _fingerprint(problems, config, budget_overrides)
-        check_manifest(run_dir, fingerprint, cluster.resume)
-
-        state = _RunState(problems)
-        journal_paths = [os.path.join(run_dir, JOURNAL_NAME)]
-        journal_paths.extend(worker_journal_paths(run_dir))
-        state.replay(merge_journals(journal_paths))
-        resumed = len(state.completed)
-
-        with JournalWriter(os.path.join(run_dir, JOURNAL_NAME)) as journal:
-            coordinator = _Coordinator(
-                list(problems), config, cluster, budget_overrides, state, journal
-            )
-            pool: Optional[_LocalWorkerPool] = None
-            try:
-                port = coordinator.bind()
-                if on_listening is not None:
-                    on_listening(port)
-                if cluster.local_workers:
-                    _worker_module._CLUSTER_CONTEXT = (
-                        list(problems), config, budget_overrides
-                    )
-                    _worker_module._INHERITED_LISTENER = coordinator.listener
-                    pool = _LocalWorkerPool(
-                        cluster.local_workers, cluster.host, port
-                    )
-                    _worker_module._INHERITED_LISTENER = None
-                    register_shutdown_reaper(pool)
-                if state.pending_indices():
-                    coordinator.run()
-                else:
-                    coordinator._checkpoint("complete")
-                    coordinator.journal.append(
-                        {"type": "cluster_stats", **coordinator.stats.to_payload()}
-                    )
-            finally:
-                coordinator.close()
-                if pool is not None:
-                    unregister_shutdown_reaper(pool)
-                    pool.join()
-                    _worker_module._CLUSTER_CONTEXT = None
-
-        result, quarantined = assemble_result(
-            state, problems, config, run_dir, stream
-        )
-        return ClusterReport(
-            result=result,
-            run_dir=run_dir,
-            completed=len(state.completed),
-            resumed=resumed,
-            quarantined=quarantined,
-            stats=coordinator.stats,
-            port=coordinator.port,
-        )
+    coordinator = _Coordinator(list(problems), config, cluster, on_listening)
+    report = run_sweep(
+        problems,
+        config,
+        budgets,
+        cluster.run_dir,
+        cluster.resume,
+        cluster.max_attempts,
+        coordinator.run,
+        stream,
+        timestamped=True,
+    )
+    return ClusterReport(
+        **vars(report), stats=coordinator.stats, port=coordinator.port
+    )

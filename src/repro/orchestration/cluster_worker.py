@@ -23,7 +23,8 @@ The same entry point serves both deployment shapes: a remote process started
 by ``crowdfusion shard-worker --connect HOST:PORT`` (problems and config
 rebuilt from its own CLI flags, checked via the fingerprint digest) and a
 local subprocess forked by the coordinator for loopback parallelism
-(context inherited copy-on-write through :data:`_CLUSTER_CONTEXT`).
+(work inherited copy-on-write through
+:func:`~repro.evaluation.experiment.publish_work`).
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.core.selection.parallel import restore_default_sigterm
+from repro.evaluation import experiment
 from repro.evaluation.experiment import (
     EntityProblem,
     ExperimentConfig,
@@ -43,19 +46,6 @@ from repro.exceptions import OrchestrationError
 from repro.orchestration import wire
 from repro.orchestration.worker import trajectory_to_payload
 from repro.testing import faults
-
-#: Work published to coordinator-forked local workers before the fork:
-#: ``(problems, config, budget_overrides)``.
-_CLUSTER_CONTEXT: Optional[
-    Tuple[List[EntityProblem], ExperimentConfig, Dict[str, int]]
-] = None
-
-#: The coordinator's listening socket, published just before local workers
-#: fork.  Each child must close its inherited copy first thing: a leaked
-#: listen fd would keep the port accepting handshakes after the coordinator
-#: dies, so orphaned workers would "reconnect" into a backlog nobody serves
-#: and block in recv() forever instead of expiring their reconnect window.
-_INHERITED_LISTENER: Optional[socket.socket] = None
 
 #: How long a disconnected worker keeps trying to reach the coordinator
 #: before giving up — the window that lets workers survive a coordinator
@@ -253,15 +243,28 @@ def _serve(
             )
 
 
-def local_worker_main(host: str, port: int, worker_id: str) -> None:
-    """Entry point of a coordinator-forked local worker subprocess."""
-    if _INHERITED_LISTENER is not None:
+def local_worker_main(
+    host: str,
+    port: int,
+    worker_id: str,
+    listener: Optional[socket.socket],
+) -> None:
+    """Entry point of a coordinator-forked local worker subprocess.
+
+    ``listener`` is the coordinator's listening socket, inherited by the
+    fork.  The child closes its copy first thing: a leaked listen fd would
+    keep the port accepting handshakes after the coordinator dies, so
+    orphaned workers would "reconnect" into a backlog nobody serves and
+    block in recv() forever instead of expiring their reconnect window.
+    """
+    restore_default_sigterm()
+    if listener is not None:
         try:
-            _INHERITED_LISTENER.close()
+            listener.close()
         except OSError:  # pragma: no cover - nothing left to leak
             pass
-    assert _CLUSTER_CONTEXT is not None, "local worker forked without context"
-    problems, config, budget_overrides = _CLUSTER_CONTEXT
+    assert experiment._FORK_WORK is not None, "local worker forked without work"
+    problems, config, budget_overrides = experiment._FORK_WORK
     try:
         run_shard_worker(problems, config, budget_overrides, host, port, worker_id)
     except OrchestrationError:

@@ -120,11 +120,6 @@ def read_records(path: str) -> List[Dict[str, Any]]:
     return records
 
 
-def iter_records(path: str) -> Iterator[Dict[str, Any]]:
-    """Iterate :func:`read_records` lazily (convenience for large journals)."""
-    yield from read_records(path)
-
-
 def merge_journals(paths: Sequence[str]) -> List[Dict[str, Any]]:
     """Merge per-worker journals into one deterministic record stream.
 
@@ -137,11 +132,12 @@ def merge_journals(paths: Sequence[str]) -> List[Dict[str, Any]]:
 
     ``entity_done`` records are deduplicated by entity index — duplicated
     delivery is legal at this layer (a retransmit racing its original, a
-    reassigned range completed twice) as long as the payloads agree; the
-    first copy in merge order wins.  Conflicting payloads for the same
-    entity mean the bit-identity guarantee is already broken upstream and
-    raise :class:`OrchestrationError` rather than silently assembling a
-    curve from diverging trajectories.
+    reassigned range completed twice) as long as the trajectories agree;
+    the first copy in merge order wins.  ``worker`` and ``attempt`` may
+    legitimately differ between copies and are not compared.  Conflicting
+    trajectories for the same entity mean the bit-identity guarantee is
+    already broken upstream and raise :class:`OrchestrationError` rather
+    than silently assembling a curve from diverging trajectories.
     """
     merged: List[Dict[str, Any]] = []
     done: Dict[int, Dict[str, Any]] = {}
@@ -151,9 +147,9 @@ def merge_journals(paths: Sequence[str]) -> List[Dict[str, Any]]:
                 index = int(record["index"])
                 previous = done.get(index)
                 if previous is not None:
-                    if previous.get("payload") != record.get("payload"):
+                    if previous.get("trajectory") != record.get("trajectory"):
                         raise OrchestrationError(
-                            f"conflicting entity_done payloads for entity "
+                            f"conflicting entity_done trajectories for entity "
                             f"{index} across merged journals (second copy in "
                             f"{path}); the per-entity seed derivation should "
                             "make duplicates identical — refusing to merge"

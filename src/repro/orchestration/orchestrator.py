@@ -10,23 +10,29 @@ when the process died, and hands the merged trajectory set to the same
 :func:`~repro.evaluation.experiment.assemble_curve` the in-memory fan-out
 uses — so a resumed sweep's curve is bit-identical to an undisturbed one.
 
+The sweep ledger :class:`_RunState` and the run-directory open/close
+:func:`run_sweep` are shared with the cluster coordinator; each runner only
+decides *where* an entity runs.
+
 Failure policy: a shard that dies or reports an error costs the entity one
-attempt; the entity is re-enqueued with linear backoff until
-``max_attempts``, after which it is quarantined (recorded with its error,
-excluded from the curve, never blocking the sweep).  Dead shards are
-replaced immediately.  The shard pool registers with the process-wide
-shutdown guard (:func:`repro.core.selection.parallel.register_shutdown_reaper`),
-so an orchestrator SIGTERM reaps its shard processes along with any
-shared-memory rings instead of leaking them.
+attempt; the entity is re-enqueued at once until ``max_attempts``, after
+which it is quarantined (recorded with its error, excluded from the curve,
+never blocking the sweep).  Dead shards are replaced immediately.  The shard
+pool registers with the process-wide shutdown guard
+(:func:`repro.core.selection.parallel.register_shutdown_reaper`), so an
+orchestrator SIGTERM reaps its shard processes along with any shared-memory
+rings instead of leaking them; after a SIGKILL the shards read EOF on their
+pipes and exit by themselves.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import os
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import multiprocessing
 from multiprocessing.connection import wait as _wait_connections
@@ -42,6 +48,8 @@ from repro.evaluation.experiment import (
     ExperimentConfig,
     ExperimentResult,
     assemble_curve,
+    entity_seeds,
+    publish_work,
 )
 from repro.evaluation.reporting import CurveStream
 from repro.exceptions import OrchestrationError
@@ -50,8 +58,8 @@ from repro.orchestration.journal import (
     JournalWriter,
     RunLock,
     atomic_write_json,
+    merge_journals,
     read_json,
-    read_records,
 )
 
 #: Run-directory file names.
@@ -60,6 +68,9 @@ JOURNAL_NAME = "journal.jsonl"
 CHECKPOINT_NAME = "checkpoint.json"
 CURVE_NAME = "curve.jsonl"
 LOCK_NAME = "lock"
+
+#: Worker journal naming; resume merges every journal with this prefix.
+WORKER_JOURNAL_PREFIX = "journal-"
 
 #: Journal schema version (bumped on incompatible record changes).
 JOURNAL_VERSION = 1
@@ -77,10 +88,8 @@ class OrchestratorConfig:
         Worker processes running entity trajectories (clamped to the number
         of pending entities).
     max_attempts:
-        Attempts per entity before it is quarantined.
-    retry_backoff_s:
-        Linear backoff: attempt ``n`` waits ``retry_backoff_s * (n - 1)``
-        seconds before re-dispatch.
+        Attempts per entity before it is quarantined; a failed attempt
+        re-enqueues the entity at once.
     resume:
         Allow continuing a run directory that already holds a manifest;
         without it a populated run directory is refused (guarding against
@@ -90,7 +99,6 @@ class OrchestratorConfig:
     run_dir: str
     shards: int = 2
     max_attempts: int = 3
-    retry_backoff_s: float = 0.0
     resume: bool = False
 
     def __post_init__(self) -> None:
@@ -101,10 +109,6 @@ class OrchestratorConfig:
         if self.max_attempts < 1:
             raise OrchestrationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.retry_backoff_s < 0:
-            raise OrchestrationError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
             )
 
 
@@ -159,8 +163,9 @@ def check_manifest(
 ) -> None:
     """Verify (or create) the run manifest; refuse mixing two sweeps.
 
-    Shared by the single-host orchestrator and the cluster coordinator —
-    both must refuse to resume a directory created for a different sweep.
+    Called by :func:`run_sweep`, so the single-host orchestrator and the
+    cluster coordinator both refuse to resume a directory created for a
+    different sweep.
     """
     manifest_path = os.path.join(run_dir, MANIFEST_NAME)
     existing = read_json(manifest_path)
@@ -187,29 +192,19 @@ def entity_done_record(
     payload: Dict[str, Any],
 ) -> Dict[str, Any]:
     """The journal record of one completed entity, RNG provenance included."""
+    worker_seed, selector_seed = entity_seeds(config, index)
     return {
         "type": "entity_done",
         "index": index,
         "entity": problems[index].entity,
         "attempt": attempt,
-        "seeds": {
-            "worker_seed": config.seed * 7919 + index,
-            "selector_seed": (
-                config.seed * 104729 + index
-                if config.selector in ("random", "Random")
-                else None
-            ),
-        },
+        "seeds": {"worker_seed": worker_seed, "selector_seed": selector_seed},
         "trajectory": payload,
     }
 
 
 def assemble_result(
-    state: "_RunState",
-    problems: Sequence[EntityProblem],
-    config: ExperimentConfig,
-    run_dir: str,
-    stream: Optional[CurveStream],
+    state: "_RunState", stream: Optional[CurveStream]
 ) -> Tuple[ExperimentResult, Tuple[Tuple[str, str], ...]]:
     """Assemble the curve from every completed entity and stream it to disk.
 
@@ -218,6 +213,7 @@ def assemble_result(
     multi-host sweeps all converge here, which is what makes the
     bit-identity guarantee assertable on the curve file.
     """
+    problems, config, run_dir = state.problems, state.config, state.run_dir
     trajectories: List[EntityTrajectory] = []
     gold: Dict[str, bool] = {}
     for index in sorted(state.completed):
@@ -258,6 +254,231 @@ def assemble_result(
     return result, quarantined
 
 
+def _safe_worker_name(worker: str) -> str:
+    """Filesystem-safe journal suffix for a worker id."""
+    return "".join(c if c.isalnum() or c in "-_." else "_" for c in worker) or "worker"
+
+
+def worker_journal_paths(run_dir: str) -> List[str]:
+    """Every per-worker journal currently present in ``run_dir``."""
+    return sorted(
+        os.path.join(run_dir, name)
+        for name in os.listdir(run_dir)
+        if name.startswith(WORKER_JOURNAL_PREFIX) and name.endswith(".jsonl")
+    )
+
+
+class _RunState:
+    """The sweep ledger: every per-entity decision of one run, journalled.
+
+    It holds the pending queue (served lowest index first by :meth:`take`)
+    and the attempt counters, and writes the records and checkpoints of
+    each outcome: :meth:`done`, :meth:`fail` (re-enqueue at once, or
+    quarantine at ``max_attempts``) and, on resume, :meth:`replay`.  As a
+    context manager it holds the run journal and worker journals open.
+    """
+
+    def __init__(
+        self,
+        problems: Sequence[EntityProblem],
+        config: ExperimentConfig,
+        run_dir: str,
+        max_attempts: int = 1,
+        timestamped: bool = False,
+    ) -> None:
+        self.problems = problems
+        self.config = config
+        self.run_dir = run_dir
+        self.max_attempts = max_attempts
+        #: Stamp decision records with a wall-clock ``ts`` (the cluster's).
+        self.timestamped = timestamped
+        self.completed: Dict[int, Dict[str, Any]] = {}
+        self.quarantined: Dict[int, Dict[str, Any]] = {}
+        self.attempts: Dict[int, int] = {}
+        #: Pending entity indices not yet taken, as a min-heap.
+        self.queue: List[int] = list(range(len(problems)))
+        self.journal: Optional[JournalWriter] = None
+        self._worker_journals: Dict[str, JournalWriter] = {}
+
+    def __enter__(self) -> "_RunState":
+        self.journal = JournalWriter(os.path.join(self.run_dir, JOURNAL_NAME))
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        for writer in [self.journal, *self._worker_journals.values()]:
+            writer.close()
+
+    def replay(self, records: Sequence[Dict[str, Any]]) -> None:
+        for record in records:
+            kind = record.get("type")
+            index = record.get("index")
+            if kind == "entity_done":
+                self.completed[index] = record
+            elif kind == "entity_failed":
+                self.attempts[index] = max(
+                    self.attempts.get(index, 0), int(record.get("attempt", 1))
+                )
+            elif kind == "quarantined":
+                self.quarantined[index] = record
+            # "started" records mark in-flight work; an orchestrator crash
+            # mid-entity is not the entity's fault, so they do not count
+            # against max_attempts — the entity is simply pending again.
+        self.queue = self.pending_indices()  # sorted, hence a valid heap
+
+    def pending_indices(self) -> List[int]:
+        return [
+            index
+            for index in range(len(self.problems))
+            if index not in self.completed and index not in self.quarantined
+        ]
+
+    def checkpoint(self, status: str = "running") -> None:
+        atomic_write_json(
+            os.path.join(self.run_dir, CHECKPOINT_NAME),
+            {
+                "status": status,
+                "total": len(self.problems),
+                "completed": sorted(self.completed),
+                "quarantined": sorted(self.quarantined),
+                "pending": self.pending_indices(),
+            },
+        )
+
+    def take(self, limit: int = 1) -> List[Tuple[int, int]]:
+        """Dequeue up to ``limit`` contiguous ``(index, attempt)``, lowest first."""
+        taken: List[Tuple[int, int]] = []
+        while self.queue and len(taken) < limit:
+            if taken and self.queue[0] != taken[-1][0] + 1:
+                break
+            index = heapq.heappop(self.queue)
+            taken.append((index, self.attempts.get(index, 0) + 1))
+        return taken
+
+    def log(self, record: Dict[str, Any]) -> None:
+        """Append one decision record to the run journal."""
+        if self.timestamped:
+            record["ts"] = time.time()
+        self.journal.append(record)
+
+    def done(
+        self,
+        index: int,
+        attempt: int,
+        trajectory: Dict[str, Any],
+        worker: Optional[str] = None,
+    ) -> None:
+        """Journal a completed entity, then checkpoint.
+
+        A result from a named cluster ``worker`` lands in that worker's journal.
+        """
+        record = entity_done_record(
+            self.problems, self.config, index, attempt, trajectory
+        )
+        if worker is None:
+            self.journal.append(record)
+        else:
+            record["worker"] = worker
+            self._worker_journal(worker).append(record)
+        self.completed[index] = record
+        self.checkpoint()
+
+    def fail(self, index: int, attempt: int, error: str) -> None:
+        """Charge a failed attempt: re-enqueue, or quarantine at ``max_attempts``."""
+        entity = self.problems[index].entity
+        self.log(
+            {
+                "type": "entity_failed",
+                "index": index,
+                "entity": entity,
+                "attempt": attempt,
+                "error": error,
+            }
+        )
+        self.attempts[index] = max(self.attempts.get(index, 0), attempt)
+        if attempt < self.max_attempts:
+            heapq.heappush(self.queue, index)
+            return
+        record = {
+            "type": "quarantined",
+            "index": index,
+            "entity": entity,
+            "attempts": attempt,
+            "error": error,
+        }
+        self.log(record)
+        self.quarantined[index] = record
+        self.checkpoint()
+
+    def _worker_journal(self, worker: str) -> JournalWriter:
+        name = _safe_worker_name(worker)
+        writer = self._worker_journals.get(name)
+        if writer is None:
+            path = os.path.join(self.run_dir, f"{WORKER_JOURNAL_PREFIX}{name}.jsonl")
+            writer = self._worker_journals[name] = JournalWriter(path)
+        return writer
+
+
+def run_sweep(
+    problems: Sequence[EntityProblem],
+    config: ExperimentConfig,
+    budgets: Optional[Mapping[str, int]],
+    run_dir: str,
+    resume: bool,
+    max_attempts: int,
+    drive: Callable[[_RunState, Dict[str, int]], None],
+    stream: Optional[CurveStream] = None,
+    timestamped: bool = False,
+) -> OrchestratorReport:
+    """Open a run directory, let ``drive`` work off its queue, assemble the curve.
+
+    Lock, manifest check, replay of every journal into a fresh ledger,
+    ``drive`` (which returns once every entity is completed or quarantined),
+    final checkpoint, then the curve from the completed entities in index
+    order — quarantined entities and their gold are excluded.
+    """
+    if not problems:
+        raise OrchestrationError("cannot orchestrate an empty problem list")
+    budget_overrides = dict(budgets or {})
+    os.makedirs(run_dir, exist_ok=True)
+    with RunLock(os.path.join(run_dir, LOCK_NAME)):
+        check_manifest(
+            run_dir, _fingerprint(problems, config, budget_overrides), resume
+        )
+        state = _RunState(problems, config, run_dir, max_attempts, timestamped)
+        state.replay(
+            merge_journals(
+                [os.path.join(run_dir, JOURNAL_NAME), *worker_journal_paths(run_dir)]
+            )
+        )
+        resumed = len(state.completed)
+        with state:
+            if state.queue:
+                state.checkpoint()
+            drive(state, budget_overrides)
+            state.checkpoint("complete")
+        result, quarantined = assemble_result(state, stream)
+        return OrchestratorReport(
+            result=result,
+            run_dir=run_dir,
+            completed=len(state.completed),
+            resumed=resumed,
+            quarantined=quarantined,
+        )
+
+
+def reap_processes(processes: Sequence[multiprocessing.process.BaseProcess]) -> None:
+    """Hard stop, safe to call from atexit/SIGTERM: terminate, then kill."""
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+    for process in processes:
+        if process.is_alive():
+            process.join(timeout=1.0)
+        if process.is_alive():  # pragma: no cover - stuck in syscall
+            process.kill()
+            process.join(timeout=1.0)
+
+
 @dataclass
 class _Shard:
     """One supervised worker process and its command pipe."""
@@ -276,27 +497,32 @@ class _ShardPool:
 
     def __init__(self, size: int) -> None:
         self._context = multiprocessing.get_context("fork")
-        self.shards: List[_Shard] = [self._fork() for _ in range(size)]
+        self.shards: List[_Shard] = []
+        for _ in range(size):
+            self.shards.append(self._fork())
 
     def _fork(self) -> _Shard:
         parent_end, child_end = self._context.Pipe()
+        # The child inherits every parent end open at this moment — its own
+        # and its siblings' — and closes them first thing (see shard_main).
+        inherited = [parent_end, *(shard.connection for shard in self.shards)]
         process = self._context.Process(
-            target=_worker_module.shard_main, args=(child_end,), daemon=True
+            target=_worker_module.shard_main,
+            args=(child_end, inherited),
+            daemon=True,
         )
         process.start()
         child_end.close()
         return _Shard(process=process, connection=parent_end)
 
-    def replace(self, shard: _Shard) -> _Shard:
+    def replace(self, shard: _Shard) -> None:
         """Reap a dead shard and fork its replacement in place."""
         try:
             shard.connection.close()
         except OSError:  # pragma: no cover - already closed
             pass
         shard.process.join(timeout=1.0)
-        replacement = self._fork()
-        self.shards[self.shards.index(shard)] = replacement
-        return replacement
+        self.shards[self.shards.index(shard)] = self._fork()
 
     def idle(self) -> List[_Shard]:
         return [shard for shard in self.shards if not shard.busy]
@@ -316,62 +542,13 @@ class _ShardPool:
         self.reap_on_shutdown()
 
     def reap_on_shutdown(self) -> None:
-        """Hard stop, safe to call from atexit/SIGTERM: terminate then kill."""
+        """Hard stop, safe to call from atexit/SIGTERM."""
+        reap_processes([shard.process for shard in self.shards])
         for shard in self.shards:
-            if shard.process.is_alive():
-                shard.process.terminate()
-        for shard in self.shards:
-            if shard.process.is_alive():
-                shard.process.join(timeout=1.0)
-            if shard.process.is_alive():  # pragma: no cover - stuck in syscall
-                shard.process.kill()
-                shard.process.join(timeout=1.0)
             try:
                 shard.connection.close()
             except OSError:  # pragma: no cover - already closed
                 pass
-
-
-class _RunState:
-    """Journal-backed progress of one sweep (replayed on resume)."""
-
-    def __init__(self, problems: Sequence[EntityProblem]) -> None:
-        self.problems = problems
-        self.completed: Dict[int, Dict[str, Any]] = {}
-        self.quarantined: Dict[int, Dict[str, Any]] = {}
-        self.attempts: Dict[int, int] = {}
-
-    def replay(self, records: Sequence[Dict[str, Any]]) -> None:
-        for record in records:
-            kind = record.get("type")
-            index = record.get("index")
-            if kind == "entity_done":
-                self.completed[index] = record
-            elif kind == "entity_failed":
-                self.attempts[index] = max(
-                    self.attempts.get(index, 0), int(record.get("attempt", 1))
-                )
-            elif kind == "quarantined":
-                self.quarantined[index] = record
-            # "started" records mark in-flight work; an orchestrator crash
-            # mid-entity is not the entity's fault, so they do not count
-            # against max_attempts — the entity is simply pending again.
-
-    def pending_indices(self) -> List[int]:
-        return [
-            index
-            for index in range(len(self.problems))
-            if index not in self.completed and index not in self.quarantined
-        ]
-
-    def checkpoint_payload(self, status: str) -> Dict[str, Any]:
-        return {
-            "status": status,
-            "total": len(self.problems),
-            "completed": sorted(self.completed),
-            "quarantined": sorted(self.quarantined),
-            "pending": self.pending_indices(),
-        }
 
 
 def run_checkpointed_experiment(
@@ -383,195 +560,92 @@ def run_checkpointed_experiment(
 ) -> OrchestratorReport:
     """Run (or resume) a durable sharded sweep and return its curve.
 
-    The sweep is driven as a work queue: every pending entity index is
-    dispatched to the first idle shard, a ``started`` journal record lands
-    before the dispatch, and an ``entity_done`` record (with the trajectory
-    and its RNG-seed provenance) plus an atomic checkpoint land before the
-    next dispatch from the queue.  Killing this process at *any* point and
+    The sweep is driven as a work queue: each idle shard takes the lowest
+    pending entity index, a ``started`` journal record lands before the
+    dispatch, and an ``entity_done`` record (with the trajectory and its
+    RNG-seed provenance) plus an atomic checkpoint land before the next
+    dispatch from the queue.  Killing this process at *any* point and
     calling again with ``resume=True`` therefore loses at most the entities
     that were mid-flight — which are re-run from their per-entity seeds,
     producing the exact floats the lost run would have.
     """
-    if not problems:
-        raise OrchestrationError("cannot orchestrate an empty problem list")
     if not fork_available():
         raise OrchestrationError(
             "the durable orchestrator shards work via the 'fork' start "
             "method, which this platform does not provide"
         )
-    budget_overrides = dict(budgets or {})
-    run_dir = orchestrator.run_dir
-    os.makedirs(run_dir, exist_ok=True)
-
-    with RunLock(os.path.join(run_dir, LOCK_NAME)):
-        fingerprint = _fingerprint(problems, config, budget_overrides)
-        check_manifest(run_dir, fingerprint, orchestrator.resume)
-
-        state = _RunState(problems)
-        state.replay(read_records(os.path.join(run_dir, JOURNAL_NAME)))
-        resumed = len(state.completed)
-        pending = state.pending_indices()
-
-        with JournalWriter(os.path.join(run_dir, JOURNAL_NAME)) as journal:
-            checkpoint_path = os.path.join(run_dir, CHECKPOINT_NAME)
-            if pending:
-                _run_pending(
-                    pending, problems, config, budget_overrides,
-                    orchestrator, state, journal, checkpoint_path,
-                )
-            atomic_write_json(checkpoint_path, state.checkpoint_payload("complete"))
-
-        # Assemble the curve from every completed entity, in index order —
-        # the same code path as the in-memory fan-out.  Quarantined entities
-        # are excluded (their gold too, so scores stay comparable).
-        result, quarantined = assemble_result(
-            state, problems, config, run_dir, stream
-        )
-        return OrchestratorReport(
-            result=result,
-            run_dir=run_dir,
-            completed=len(state.completed),
-            resumed=resumed,
-            quarantined=quarantined,
-        )
+    return run_sweep(
+        problems,
+        config,
+        budgets,
+        orchestrator.run_dir,
+        orchestrator.resume,
+        orchestrator.max_attempts,
+        functools.partial(_run_pending, shards=orchestrator.shards),
+        stream,
+    )
 
 
 def _run_pending(
-    pending: Sequence[int],
-    problems: Sequence[EntityProblem],
-    config: ExperimentConfig,
-    budget_overrides: Dict[str, int],
-    orchestrator: OrchestratorConfig,
-    state: _RunState,
-    journal: JournalWriter,
-    checkpoint_path: str,
+    state: _RunState, budget_overrides: Dict[str, int], shards: int
 ) -> None:
-    """Drive the shard pool until every pending entity is done or quarantined."""
-    #: Work items: (entity index, attempt number, earliest dispatch time).
-    queue: Deque[Tuple[int, int, float]] = deque(
-        (index, state.attempts.get(index, 0) + 1, 0.0) for index in pending
-    )
+    """Drive a shard pool until every queued entity is done or quarantined."""
+    if not state.queue:
+        return
 
-    def handle_failure(index: int, attempt: int, message: str) -> None:
-        entity = problems[index].entity
-        journal.append(
-            {
-                "type": "entity_failed",
-                "index": index,
-                "entity": entity,
-                "attempt": attempt,
-                "error": message,
-            }
-        )
-        state.attempts[index] = max(state.attempts.get(index, 0), attempt)
-        if attempt >= orchestrator.max_attempts:
-            record = {
-                "type": "quarantined",
-                "index": index,
-                "entity": entity,
-                "attempts": attempt,
-                "error": message,
-            }
-            journal.append(record)
-            state.quarantined[index] = record
-            atomic_write_json(checkpoint_path, state.checkpoint_payload("running"))
-        else:
-            not_before = time.monotonic() + orchestrator.retry_backoff_s * attempt
-            queue.append((index, attempt + 1, not_before))
+    def bury(shard: _Shard) -> None:
+        # The shard died mid-entity (SIGKILL, fault injection): charge the
+        # attempt and fork a replacement.  Reap it first so the reported
+        # exitcode is the real one, not the None of a not-yet-waited-on corpse.
+        index, attempt = shard.current
+        shard.process.join(timeout=1.0)
+        state.fail(index, attempt, f"shard died (exitcode {shard.process.exitcode})")
+        pool.replace(shard)
 
-    def handle_done(index: int, attempt: int, payload: Dict[str, Any]) -> None:
-        record = entity_done_record(problems, config, index, attempt, payload)
-        journal.append(record)
-        state.completed[index] = record
-        atomic_write_json(checkpoint_path, state.checkpoint_payload("running"))
+    with publish_work(state.problems, state.config, budget_overrides):
+        pool = _ShardPool(min(shards, len(state.queue)))
+        register_shutdown_reaper(pool)
+        try:
+            while state.queue or pool.busy():
+                for shard in pool.idle():
+                    taken = state.take()
+                    if not taken:
+                        break
+                    index, attempt = taken[0]
+                    state.log(
+                        {
+                            "type": "started",
+                            "index": index,
+                            "entity": state.problems[index].entity,
+                            "attempt": attempt,
+                        }
+                    )
+                    shard.connection.send(index)
+                    shard.current = (index, attempt)
 
-    pool_size = max(1, min(orchestrator.shards, len(pending)))
-    _worker_module._SHARD_CONTEXT = (list(problems), config, budget_overrides)
-    pool = _ShardPool(pool_size)
-    register_shutdown_reaper(pool)
-    try:
-        atomic_write_json(checkpoint_path, state.checkpoint_payload("running"))
-        while queue or pool.busy():
-            now = time.monotonic()
-            # Dispatch eligible work to idle shards.
-            for shard in pool.idle():
-                item = _pop_eligible(queue, now)
-                if item is None:
-                    break
-                index, attempt, _ = item
-                journal.append(
-                    {
-                        "type": "started",
-                        "index": index,
-                        "entity": problems[index].entity,
-                        "attempt": attempt,
-                    }
+                busy = pool.busy()
+                ready = _wait_connections(
+                    [shard.connection for shard in busy], timeout=0.2
                 )
-                shard.connection.send(index)
-                shard.current = (index, attempt)
-
-            busy = pool.busy()
-            if not busy:
-                if queue:
-                    # Everything eligible is in retry backoff: sleep to the
-                    # earliest dispatch time.
-                    wake = min(not_before for _, _, not_before in queue)
-                    time.sleep(max(0.0, min(wake - time.monotonic(), 0.5)))
-                continue
-
-            ready = _wait_connections(
-                [shard.connection for shard in busy], timeout=0.2
-            )
-            for connection in ready:
-                shard = next(s for s in busy if s.connection is connection)
-                index, attempt = shard.current
-                try:
-                    reply = connection.recv()
-                except (EOFError, OSError):
-                    # The shard died mid-entity (SIGKILL, fault injection):
-                    # charge the attempt and fork a replacement.  Reap it
-                    # first so the reported exitcode is the real one, not
-                    # the None of a not-yet-waited-on corpse.
-                    shard.process.join(timeout=1.0)
-                    handle_failure(
-                        index,
-                        attempt,
-                        f"shard died (exitcode {shard.process.exitcode})",
-                    )
-                    pool.replace(shard)
-                    continue
-                shard.current = None
-                kind, reply_index, body = reply
-                if kind == "ok":
-                    handle_done(reply_index, attempt, body)
-                else:
-                    handle_failure(reply_index, attempt, str(body))
-
-            # A shard can die without its pipe ever becoming ready (e.g.
-            # killed before the handshake): sweep for silent deaths too.
-            for shard in pool.busy():
-                if not shard.process.is_alive():
+                for connection in ready:
+                    shard = next(s for s in busy if s.connection is connection)
+                    try:
+                        kind, _index, body = connection.recv()
+                    except (EOFError, OSError):
+                        bury(shard)
+                        continue
                     index, attempt = shard.current
-                    shard.process.join(timeout=1.0)
-                    handle_failure(
-                        index,
-                        attempt,
-                        f"shard died (exitcode {shard.process.exitcode})",
-                    )
-                    pool.replace(shard)
-    finally:
-        unregister_shutdown_reaper(pool)
-        pool.shutdown()
-        _worker_module._SHARD_CONTEXT = None
+                    shard.current = None
+                    if kind == "ok":
+                        state.done(index, attempt, body)
+                    else:
+                        state.fail(index, attempt, str(body))
 
-
-def _pop_eligible(
-    queue: "Deque[Tuple[int, int, float]]", now: float
-) -> Optional[Tuple[int, int, float]]:
-    """Pop the first queue item whose backoff deadline has passed."""
-    for _ in range(len(queue)):
-        item = queue.popleft()
-        if item[2] <= now:
-            return item
-        queue.append(item)
-    return None
+                # A shard can die without its pipe ever becoming ready (e.g.
+                # killed before the handshake): sweep for silent deaths too.
+                for shard in pool.busy():
+                    if not shard.process.is_alive():
+                        bury(shard)
+        finally:
+            unregister_shutdown_reaper(pool)
+            pool.shutdown()

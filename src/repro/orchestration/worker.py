@@ -6,33 +6,28 @@ shared :func:`~repro.evaluation.experiment.run_entity_trajectory` (identical
 seed derivation to the serial loop and the in-memory fan-out), reply with
 the JSON-ready trajectory payload, repeat until the parent sends ``None``.
 
-The work tuple (problems, config, budget overrides) is published through the
-module global :data:`_SHARD_CONTEXT` immediately before the fork — children
+The work tuple (problems, config, budget overrides) is published with
+:func:`~repro.evaluation.experiment.publish_work` before the fork — children
 inherit it through copy-on-write memory, only indices and result payloads
 cross the pipe.  Shards are daemonic, run sessions serially (no nested
 pools), and hit the ``shard_entity`` fault point before every entity so the
-chaos suite can kill or fail them at a precise position.
+chaos suite can kill or fail them at a precise position.  A shard exits on
+EOF of its pipe, so it does not outlive a parent killed by SIGKILL.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Sequence
 
+from repro.core.selection.parallel import restore_default_sigterm
+from repro.evaluation import experiment
 from repro.evaluation.experiment import (
-    EntityProblem,
     EntityTrajectory,
-    ExperimentConfig,
     TrajectoryRound,
     run_entity_trajectory,
 )
 from repro.testing import faults
-
-#: Work published to shard processes before the fork:
-#: ``(problems, config, budget_overrides)``.
-_SHARD_CONTEXT: Optional[
-    Tuple[List[EntityProblem], ExperimentConfig, Dict[str, int]]
-] = None
 
 
 def trajectory_to_payload(trajectory: EntityTrajectory) -> Dict[str, Any]:
@@ -69,7 +64,10 @@ def trajectory_from_payload(payload: Dict[str, Any]) -> EntityTrajectory:
     )
 
 
-def shard_main(connection: "multiprocessing.connection.Connection") -> None:
+def shard_main(
+    connection: "multiprocessing.connection.Connection",
+    inherited: Sequence["multiprocessing.connection.Connection"],
+) -> None:
     """Entry point of one shard process: serve entity indices until ``None``.
 
     Replies are ``("ok", index, payload)`` or ``("error", index, message)``;
@@ -77,11 +75,21 @@ def shard_main(connection: "multiprocessing.connection.Connection") -> None:
     poison entity costs one reply, not one process.  The fault point fires
     *before* the trajectory runs — a killed shard therefore dies with the
     entity undone, which is exactly the in-flight state resume must handle.
+
+    ``inherited`` (the parent-side pipe ends open at fork time) are closed
+    first thing: otherwise ``recv`` never sees EOF and a shard whose parent
+    was SIGKILLed waits forever.
     """
-    assert _SHARD_CONTEXT is not None, "shard forked without published context"
-    problems, config, budget_overrides = _SHARD_CONTEXT
+    restore_default_sigterm()
+    for parent_end in inherited:
+        parent_end.close()
+    assert experiment._FORK_WORK is not None, "shard forked without published work"
+    problems, config, budget_overrides = experiment._FORK_WORK
     while True:
-        index = connection.recv()
+        try:
+            index = connection.recv()
+        except EOFError:
+            return  # the parent is gone
         if index is None:
             connection.close()
             return

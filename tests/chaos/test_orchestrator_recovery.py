@@ -79,6 +79,31 @@ def _wait_for_journal(run_dir, kind, minimum=1, timeout=120.0):
     raise AssertionError(f"journal never reached {minimum} {kind!r} records")
 
 
+def _proc_stat(pid):
+    """Fields of ``/proc/<pid>/stat`` after the command name, or ``None``."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _child_pids(pid):
+    """Pids of the live processes whose parent is ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        fields = _proc_stat(entry) if entry.isdigit() else None
+        if fields is not None and fields[1] == str(pid):
+            children.append(int(entry))
+    return children
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; a zombie awaiting its reaper is not."""
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
 def _curve(run_dir):
     return read_records(str(Path(run_dir) / "curve.jsonl"))
 
@@ -103,6 +128,7 @@ class TestOrchestratorKill:
         )
         try:
             _wait_for_journal(crashed, "entity_done", minimum=1)
+            shards = _child_pids(victim.pid)
             os.kill(victim.pid, signal.SIGKILL)
             victim.wait(timeout=30)
         finally:
@@ -114,9 +140,16 @@ class TestOrchestratorKill:
         assert done_before < 8, "the kill landed after the sweep finished"
         assert not (crashed / "curve.jsonl").exists()
 
-        # Orphaned shards notice the dead parent (EOF on the command pipe)
-        # and exit on their own; give them a moment before resuming.
-        time.sleep(1.0)
+        # The killed run's shards read EOF on their command pipes and exit
+        # by themselves; none may still be running when the resume starts.
+        assert shards, "the killed run had no shard processes"
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in shards) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        leaked = [pid for pid in shards if _running(pid)]
+        for pid in leaked:  # keep the test run itself leak-free
+            os.kill(pid, signal.SIGKILL)
+        assert not leaked, f"shards outlived their SIGKILLed parent: {leaked}"
         # Resume: the SIGKILLed process's stale lock is taken over, the
         # journal replayed, the remaining entities recomputed.
         code, out, err = _run_cli(crashed, "--resume")
@@ -201,10 +234,10 @@ class TestSigtermReapsShards:
     CHILD = """\
 import time
 from repro.core.selection.parallel import register_shutdown_reaper
-from repro.orchestration import worker as worker_module
+from repro.evaluation.experiment import publish_work
 from repro.orchestration.orchestrator import _ShardPool
-worker_module._SHARD_CONTEXT = ([], None, {})
-pool = _ShardPool(2)
+with publish_work([], None, {}):
+    pool = _ShardPool(2)
 register_shutdown_reaper(pool)
 print(" ".join(str(s.process.pid) for s in pool.shards), flush=True)
 time.sleep(60)

@@ -120,8 +120,6 @@ class TestClusterConfigValidation:
             ClusterConfig(run_dir="d", lease_entities=0)
         with pytest.raises(OrchestrationError, match="max_attempts"):
             ClusterConfig(run_dir="d", max_attempts=0)
-        with pytest.raises(OrchestrationError, match="retry_backoff_s"):
-            ClusterConfig(run_dir="d", retry_backoff_s=-0.1)
         with pytest.raises(OrchestrationError, match="local_workers"):
             ClusterConfig(run_dir="d", local_workers=-1)
 

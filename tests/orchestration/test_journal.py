@@ -15,8 +15,11 @@ import os
 import signal
 import time
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.evaluation.experiment import ExperimentConfig
 from repro.exceptions import OrchestrationError
 from repro.orchestration.journal import (
     JournalWriter,
@@ -27,6 +30,7 @@ from repro.orchestration.journal import (
     read_json,
     read_records,
 )
+from repro.orchestration.orchestrator import entity_done_record
 from repro.testing import faults
 from repro.testing.faults import FaultInjected, FaultPlan
 
@@ -90,6 +94,22 @@ def _write_journal(path, records, torn_tail=None):
             handle.write(torn_tail)
 
 
+def _done_record(index, utility, worker, attempt=1):
+    """An ``entity_done`` record exactly as a cluster sweep journals it."""
+    problems = [SimpleNamespace(entity=f"book-{i}") for i in range(index + 1)]
+    trajectory = {
+        "initial_cost": 0,
+        "initial_utility": 0.25,
+        "initial_labels": {"f0": True},
+        "rounds": [{"tasks_asked": 3, "utility": utility, "labels": {"f0": False}}],
+    }
+    record = entity_done_record(
+        problems, ExperimentConfig(seed=7), index, attempt, trajectory
+    )
+    record["worker"] = worker
+    return record
+
+
 class TestMergeJournals:
     def test_merges_in_deterministic_path_order(self, tmp_path):
         _write_journal(tmp_path / "journal-b.jsonl", [{"type": "x", "who": "b"}])
@@ -126,22 +146,23 @@ class TestMergeJournals:
             merge_journals([str(path)])
 
     def test_identical_duplicate_entity_done_is_deduplicated(self, tmp_path):
-        record = {"type": "entity_done", "index": 3, "payload": {"u": 0.5}}
-        _write_journal(tmp_path / "journal-a.jsonl", [record])
-        _write_journal(tmp_path / "journal-b.jsonl", [record])
+        # Two copies of one entity from different workers and attempts: the
+        # trajectories agree, so the first copy in merge order wins.
+        first = _done_record(3, 0.5, worker="local-0", attempt=1)
+        second = _done_record(3, 0.5, worker="local-1", attempt=2)
+        _write_journal(tmp_path / "journal-a.jsonl", [first])
+        _write_journal(tmp_path / "journal-b.jsonl", [second])
         merged = merge_journals(
             [str(tmp_path / "journal-a.jsonl"), str(tmp_path / "journal-b.jsonl")]
         )
-        assert merged == [record]
+        assert merged == [first]
 
     def test_conflicting_duplicate_payloads_refuse_loudly(self, tmp_path):
         _write_journal(
-            tmp_path / "journal-a.jsonl",
-            [{"type": "entity_done", "index": 3, "payload": {"u": 0.5}}],
+            tmp_path / "journal-a.jsonl", [_done_record(3, 0.5, worker="local-0")]
         )
         _write_journal(
-            tmp_path / "journal-b.jsonl",
-            [{"type": "entity_done", "index": 3, "payload": {"u": 0.75}}],
+            tmp_path / "journal-b.jsonl", [_done_record(3, 0.75, worker="local-0")]
         )
         with pytest.raises(OrchestrationError, match="conflicting entity_done"):
             merge_journals(

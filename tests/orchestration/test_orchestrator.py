@@ -3,8 +3,8 @@
 The orchestrator's headline contract — a sharded, journalled sweep produces
 the *same curve* as the plain in-process experiment runner, and resuming a
 partial journal reproduces it bit-for-bit — asserted against the serial
-``run_quality_experiment`` as ground truth.  Failure policy (retry with
-backoff, poison-entity quarantine after ``max_attempts``) is driven through
+``run_quality_experiment`` as ground truth.  Failure policy (immediate
+retry, poison-entity quarantine after ``max_attempts``) is driven through
 the fault plan's ``fail_entity_at`` injector.
 """
 
@@ -276,5 +276,3 @@ class TestFailurePolicy:
             OrchestratorConfig(run_dir="x", max_attempts=0)
         with pytest.raises(OrchestrationError, match="run_dir"):
             OrchestratorConfig(run_dir="")
-        with pytest.raises(OrchestrationError, match="retry_backoff_s"):
-            OrchestratorConfig(run_dir="x", retry_backoff_s=-1.0)
