@@ -6,7 +6,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test bench bench-smoke bench-scan-smoke chaos-smoke serve-smoke orchestrate-smoke cluster-smoke loc
+.PHONY: test bench bench-smoke bench-scan-smoke chaos-smoke serve-smoke orchestrate-smoke cluster-smoke determinism loc
 
 # Tier-1 suite: the fast default (excludes the slow 2^20-support scenarios).
 test:
@@ -79,6 +79,22 @@ serve-smoke:
 # processes leaked.
 cluster-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.orchestration.cluster_smoke
+
+# Cross-process reproducibility, end to end through the CLI: the same
+# experiment under two string-hash seeds must print byte-identical output
+# and, through the durable orchestrator, write a byte-identical
+# full-precision curve.jsonl.
+determinism:
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+	for seed in 0 1; do \
+		PYTHONHASHSEED=$$seed PYTHONPATH=src $(PYTHON) -m repro.cli experiment \
+			--books 8 --curve > "$$out/stdout-$$seed.txt" || exit 1; \
+		PYTHONHASHSEED=$$seed PYTHONPATH=src $(PYTHON) -m repro.cli experiment \
+			--books 8 --curve --run-dir "$$out/run-$$seed" > /dev/null || exit 1; \
+	done && \
+	cmp "$$out/stdout-0.txt" "$$out/stdout-1.txt" && \
+	cmp "$$out/run-0/curve.jsonl" "$$out/run-1/curve.jsonl" && \
+	echo "determinism: PYTHONHASHSEED=0 and =1 outputs are byte-identical"
 
 # Code size, the ROADMAP's simplicity metric: total lines of the Python files
 # under src/, tests/ and benchmarks/.

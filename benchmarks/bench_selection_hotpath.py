@@ -490,7 +490,7 @@ def _select_on_session(distribution, crowd, k, runtime=None):
 def test_parallel_auto_serial_guards_table5_hot_path():
     """A parallel-configured session must not regress the small hot path.
 
-    The default ``ParallelPolicy`` threshold keeps Table-V-sized scans (tens
+    The default ``parallel_threshold`` keeps Table-V-sized scans (tens
     of candidates over a few-thousand-row support) in process, so the only
     admissible cost is the session's pool bookkeeping and the threshold
     check itself.

@@ -80,7 +80,7 @@ def standalone_trajectory(distribution, channel, tenant, rounds, k):
     return trajectory
 
 
-def run_tenant_fleet(runtime, pools, tenants, rounds, k, num_facts, support):
+def run_tenant_fleet(runtime, tenants, rounds, k, num_facts, support):
     """One timed fleet run; returns (trajectories, wall_seconds, metrics)."""
     problems = [
         (service_distribution(num_facts, support, seed=50 + t), CrowdModel(0.8))
@@ -88,7 +88,7 @@ def run_tenant_fleet(runtime, pools, tenants, rounds, k, num_facts, support):
     ]
 
     async def scenario():
-        async with RefinementService(runtime, pools=pools) as service:
+        async with RefinementService(runtime) as service:
             sessions = []
             for prior, channel in problems:
                 created = await service.create_session(
@@ -117,7 +117,7 @@ def run_tenant_fleet(runtime, pools, tenants, rounds, k, num_facts, support):
 def test_multi_tenant_throughput_serial_runtime():
     tenants, rounds, k = 4, 4, 2
     _, elapsed, metrics, problems = run_tenant_fleet(
-        runtime=None, pools=1, tenants=tenants, rounds=rounds, k=k,
+        runtime=None, tenants=tenants, rounds=rounds, k=k,
         num_facts=10, support=256,
     )
 
@@ -209,7 +209,7 @@ def test_multi_tenant_throughput_shared_pool():
     tenants, rounds, k = 4, 3, 2
     runtime = RuntimeOptions(workers=2, parallel_threshold=0)
     _, elapsed, metrics, _ = run_tenant_fleet(
-        runtime=runtime, pools=1, tenants=tenants, rounds=rounds, k=k,
+        runtime=runtime, tenants=tenants, rounds=rounds, k=k,
         num_facts=12, support=1 << 10,
     )
     assert multiprocessing.active_children() == []
@@ -263,7 +263,7 @@ def test_recovery_latency_worker_kill():
     runtime = RuntimeOptions(workers=2, parallel_threshold=0)
 
     async def drive():
-        async with RefinementService(runtime, pools=1) as service:
+        async with RefinementService(runtime) as service:
             created = await service.create_session(
                 prior, channel, budget=rounds * k, selector=SELECTOR
             )

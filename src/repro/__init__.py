@@ -43,7 +43,6 @@ from repro.core.selection import (
     available_selectors,
     get_selector,
 )
-from repro.core.selection.parallel import ParallelPolicy
 from repro.exceptions import OrchestrationError
 from repro.orchestration import (
     ClusterConfig,
@@ -65,7 +64,7 @@ from repro.service import (
     serve,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     # value types
@@ -90,7 +89,6 @@ __all__ = [
     "RoundRecord",
     "SessionPool",
     # runtime configuration
-    "ParallelPolicy",
     "RuntimeOptions",
     # the refinement service
     "DeadlineExceededError",

@@ -8,7 +8,7 @@ Five subcommands cover the common workflows without writing any Python:
 * ``crowdfusion experiment`` — run a budgeted crowd-refinement experiment and
   print the quality-vs-cost curve;
 * ``crowdfusion serve`` — run the multi-tenant refinement service (sessions
-  over a JSON-lines TCP API, shared persistent worker pools);
+  over a JSON-lines TCP API, one shared persistent worker pool);
 * ``crowdfusion timing`` — measure one-round selection times (Table V style).
 
 Every batch command is deterministic given ``--seed``.
@@ -406,14 +406,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def run() -> None:
         service = RefinementService(
             runtime,
-            pools=args.pools,
             max_pending=args.max_pending,
             state_dir=args.state_dir,
             max_sessions=args.max_sessions,
             idle_ttl_s=args.idle_ttl_s,
         )
         server = await serve(service, host=args.host, port=args.port)
-        workers = f", {args.workers} workers x {args.pools} pools" if args.workers else ""
+        workers = f", {args.workers} shared pool workers" if args.workers else ""
         print(
             f"refinement service listening on {args.host}:{bound_port(server)}"
             f"{workers} (Ctrl-C to stop)"
@@ -564,18 +563,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port (0 picks a free port)")
     serve.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
-        help="shard tenants' candidate scans over N worker processes per "
-        "shared pool (default: serial scans)",
+        help="shard tenants' candidate scans over one shared pool of N worker "
+        "processes (default: serial scans)",
     )
     serve.add_argument(
         "--parallel-threshold", type=_nonnegative_int, default=None, metavar="WORK",
-        help="minimum scan size (candidates x support rows) before a shared "
+        help="minimum scan size (candidates x support rows) before the shared "
         "pool is used; smaller scans always run serially",
-    )
-    serve.add_argument(
-        "--pools", type=_positive_int, default=1, metavar="N",
-        help="number of shared evaluator pools tenants are multiplexed onto "
-        "(resident processes = pools x workers, independent of session count)",
     )
     serve.add_argument(
         "--dispatch-timeout-ms", type=_positive_int, default=None, metavar="MS",

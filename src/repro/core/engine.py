@@ -13,8 +13,8 @@ The whole run lives on one persistent
 only reweights the fixed output support, so the selection engine's cached
 bit columns and partitions are built once per run and reweighted after each
 round instead of being rebuilt from a freshly materialised distribution.
-Selectors that are not session-aware transparently fall back to the
-materialise-and-select path.
+Selectors that do not score on the engine read the session's materialised
+posterior instead.
 """
 
 from __future__ import annotations

@@ -3,10 +3,9 @@
 :class:`RuntimeOptions` is the one carrier for every execution knob: build it
 once, pass it to any layer (:class:`~repro.core.engine.CrowdFusionEngine`,
 :class:`~repro.evaluation.experiment.ExperimentConfig`,
-:class:`~repro.core.selection.session.RefinementSession`, the CLI, the
-service), and every layer derives the same
-:class:`~repro.core.selection.parallel.ParallelPolicy` and the same validity
-rules from it.
+:class:`~repro.core.selection.session.RefinementSession`,
+:class:`~repro.core.selection.parallel.EvaluatorPool`, the CLI, the service),
+and every layer reads the same fields under the same validity rules.
 
 The fields mean the same thing everywhere:
 
@@ -43,11 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.selection.parallel import (
-    DEFAULT_PARALLEL_THRESHOLD,
-    ParallelPolicy,
-    fork_available,
-)
+from repro.core.selection.parallel import fork_available
 from repro.exceptions import CrowdFusionError
 
 
@@ -102,26 +97,6 @@ class RuntimeOptions:
                 "entity fan-out needs the 'fork' start method, which this "
                 "platform does not provide"
             )
-
-    @property
-    def parallel_policy(self) -> Optional[ParallelPolicy]:
-        """The candidate-scan sharding policy these options imply (or ``None``)."""
-        if self.workers is None:
-            return None
-        return ParallelPolicy(
-            workers=self.workers,
-            parallel_threshold=(
-                self.parallel_threshold
-                if self.parallel_threshold is not None
-                else DEFAULT_PARALLEL_THRESHOLD
-            ),
-            max_rebuilds=self.max_rebuilds,
-            dispatch_timeout=(
-                self.dispatch_timeout_ms / 1000.0
-                if self.dispatch_timeout_ms is not None
-                else None
-            ),
-        )
 
     @property
     def parallel(self) -> bool:

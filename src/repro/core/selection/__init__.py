@@ -19,11 +19,12 @@ Available selectors (Section III & IV of the paper):
 * :class:`ReferenceGreedySelector` — the seed's pure-Python greedy, kept for
   equivalence tests and old-vs-new benchmarks.
 
-All non-reference selectors evaluate entropies through the shared vectorized
-incremental :class:`EntropyEngine` — with uniform or heterogeneous per-task
-channels — and can run either on a fresh engine per call or against a
-persistent :class:`RefinementSession` that amortises one engine across the
-rounds of a multi-round refinement (``TaskSelector.select_with_session``).
+Every selector scores against a :class:`RefinementSession`: the engine-backed
+ones through its vectorized incremental :class:`EntropyEngine` — with uniform
+or heterogeneous per-task channels.  ``TaskSelector.select`` builds a
+throwaway session per call, while ``TaskSelector.select_with_session``
+amortises one persistent session across the rounds of a multi-round
+refinement.
 :class:`SessionPool` keys such sessions by entity for batched experiments.
 
 Sessions can also shard the greedy family's candidate scans: a
@@ -46,11 +47,7 @@ from repro.core.selection.engine import EntropyEngine, SelectionState
 from repro.core.selection.fact_entropy import FactEntropySelector
 from repro.core.selection.greedy import GreedySelector
 from repro.core.selection.lazy import LazyGreedySelector
-from repro.core.selection.parallel import (
-    EvaluatorPool,
-    ParallelPolicy,
-    ParallelSelectorMixin,
-)
+from repro.core.selection.parallel import EvaluatorPool, ParallelSelectorMixin
 from repro.core.selection.preprocessing import (
     PreprocessingGreedySelector,
     PrunedPreprocessingGreedySelector,
@@ -69,7 +66,6 @@ __all__ = [
     "FactEntropySelector",
     "GreedySelector",
     "LazyGreedySelector",
-    "ParallelPolicy",
     "ParallelSelectorMixin",
     "PreprocessingGreedySelector",
     "PrunedPreprocessingGreedySelector",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
@@ -95,9 +95,11 @@ class SelectionResult:
 class TaskSelector(abc.ABC):
     """Abstract task selector: pick ``k`` facts to ask the crowd.
 
-    Concrete selectors only implement :meth:`_select`; the public
-    :meth:`select` method performs argument validation and timing so that
-    every implementation reports comparable statistics.
+    Concrete selectors only implement :meth:`_select`, which scores against a
+    :class:`~repro.core.selection.session.RefinementSession`; the public
+    :meth:`select` and :meth:`select_with_session` methods perform argument
+    validation and timing so that every implementation reports comparable
+    statistics.
     """
 
     #: Short machine-readable identifier used by the registry and benchmarks.
@@ -128,6 +130,10 @@ class TaskSelector(abc.ABC):
     ) -> SelectionResult:
         """Select up to ``k`` facts (tasks) to ask the crowd.
 
+        The selection runs on a throwaway serial
+        :class:`~repro.core.selection.session.RefinementSession`, so the
+        reported ``elapsed_seconds`` include building its engine.
+
         Parameters
         ----------
         distribution:
@@ -141,9 +147,13 @@ class TaskSelector(abc.ABC):
         exclude:
             Fact ids that must not be selected (e.g. already resolved facts).
         """
+        # Imported here: the session module imports this one.
+        from repro.core.selection.session import RefinementSession
+
         candidates, k = self._candidate_pool(distribution.fact_ids, k, exclude)
         started = time.perf_counter()
-        result = self._select(distribution, crowd, k, candidates)
+        with RefinementSession(distribution, crowd) as session:
+            result = self._select(session, k, candidates)
         result.stats.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -155,58 +165,25 @@ class TaskSelector(abc.ABC):
     ) -> SelectionResult:
         """Select against a persistent :class:`RefinementSession`.
 
-        Session-aware selectors (the engine-backed greedy family) score
-        candidates directly on the session's warm engine; the base-class
-        fallback materialises the session's posterior and runs the ordinary
-        :meth:`select` path, so *every* selector works with sessions.
+        Engine-backed selectors score candidates directly on the session's
+        warm engine (and its worker pool, when it has one); the others read
+        the session's materialised posterior and channel.
         """
         candidates, k = self._candidate_pool(session.fact_ids, k, exclude)
         started = time.perf_counter()
-        result = self._select_with_session(session, k, candidates)
+        result = self._select(session, k, candidates)
         result.stats.elapsed_seconds = time.perf_counter() - started
         return result
 
     @abc.abstractmethod
     def _select(
         self,
-        distribution: JointDistribution,
-        crowd: ChannelModel,
+        session: "RefinementSession",
         k: int,
         candidates: Sequence[str],
     ) -> SelectionResult:
         """Selector-specific implementation; ``candidates`` is already filtered."""
 
-    def _select_with_session(
-        self,
-        session: "RefinementSession",
-        k: int,
-        candidates: Sequence[str],
-    ) -> SelectionResult:
-        """Session-path implementation; overridden by engine-backed selectors."""
-        return self._select(session.distribution, session.channel, k, candidates)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-
-def best_single_task(
-    distribution: JointDistribution,
-    crowd: ChannelModel,
-    candidates: Sequence[str],
-    selected: Sequence[str],
-) -> Optional[Tuple[str, float]]:
-    """Return the candidate maximising ``H(T ∪ {f})`` and that entropy.
-
-    Shared helper for greedy-style selectors; returns ``None`` when
-    ``candidates`` is empty.
-    """
-    best_id: Optional[str] = None
-    best_entropy = float("-inf")
-    for fact_id in candidates:
-        entropy = crowd.task_entropy(distribution, list(selected) + [fact_id])
-        if entropy > best_entropy + TIE_TOLERANCE:
-            best_entropy = entropy
-            best_id = fact_id
-    if best_id is None:
-        return None
-    return best_id, best_entropy

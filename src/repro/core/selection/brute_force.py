@@ -4,7 +4,7 @@ Enumerates every size-``k`` subset of candidate facts, computes the
 answer-set entropy ``H(T)`` of each, and returns the maximiser.  The cost is
 ``O(C(n, k))`` entropy evaluations, which — as Table V demonstrates — becomes
 infeasible beyond ``k ≈ 3`` on realistic fact sets.  Each evaluation runs on
-the vectorized engine's one-shot path (a grouped sum plus ``k`` channel
+the session engine's one-shot path (a grouped sum plus ``k`` channel
 passes), but nothing can save OPT from the binomial outer loop.
 """
 
@@ -13,10 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from repro.core.crowd import ChannelModel
-from repro.core.distribution import JointDistribution
 from repro.core.selection.base import SelectionResult, SelectionStats, TaskSelector
-from repro.core.selection.engine import EntropyEngine
 
 
 class BruteForceSelector(TaskSelector):
@@ -28,14 +25,8 @@ class BruteForceSelector(TaskSelector):
         """``max_subsets`` guards against accidentally enumerating an astronomic space."""
         self._max_subsets = max_subsets
 
-    def _select(
-        self,
-        distribution: JointDistribution,
-        crowd: ChannelModel,
-        k: int,
-        candidates: Sequence[str],
-    ) -> SelectionResult:
-        engine = EntropyEngine(distribution, crowd)
+    def _select(self, session, k: int, candidates: Sequence[str]) -> SelectionResult:
+        engine = session.engine
         stats = SelectionStats()
         best_ids: tuple = ()
         best_entropy = float("-inf")

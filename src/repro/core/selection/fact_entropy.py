@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.crowd import ChannelModel
-from repro.core.distribution import JointDistribution
 from repro.core.selection.base import (
     TIE_TOLERANCE,
     SelectionResult,
@@ -35,13 +33,8 @@ class FactEntropySelector(TaskSelector):
 
     name = "fact_entropy"
 
-    def _select(
-        self,
-        distribution: JointDistribution,
-        crowd: ChannelModel,
-        k: int,
-        candidates: Sequence[str],
-    ) -> SelectionResult:
+    def _select(self, session, k: int, candidates: Sequence[str]) -> SelectionResult:
+        distribution = session.distribution
         stats = SelectionStats()
         selected: List[str] = []
         remaining = list(candidates)
@@ -73,6 +66,6 @@ class FactEntropySelector(TaskSelector):
         # Report the answer-set entropy of the chosen set so that results are
         # directly comparable with the other selectors' objectives.
         objective = (
-            crowd.task_entropy(distribution, selected) if selected else 0.0
+            session.channel.task_entropy(distribution, selected) if selected else 0.0
         )
         return SelectionResult(task_ids=tuple(selected), objective=objective, stats=stats)

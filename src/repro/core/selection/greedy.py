@@ -6,11 +6,11 @@ achieves a ``(1 − 1/e)`` approximation of the optimum (Nemhauser et al.).
 The selector stops early (``K* < k``) when no candidate yields a positive
 gain, exactly as lines 5–6 of Algorithm 1 prescribe.
 
-All greedy variants share :func:`run_greedy_on_engine`, one scan loop over a
-vectorized incremental :class:`~repro.core.selection.engine.EntropyEngine`;
-they differ only in whether the Theorem-3 pruning rule is applied, and in
-whether the engine is built fresh (:func:`run_engine_greedy`) or borrowed
-warm from a :class:`~repro.core.selection.session.RefinementSession`.  The
+All greedy variants share :func:`run_greedy_on_engine`, one scan loop over
+the vectorized incremental
+:class:`~repro.core.selection.engine.EntropyEngine` of a
+:class:`~repro.core.selection.session.RefinementSession`; they differ only in
+whether the Theorem-3 pruning rule is applied.  The
 historical per-candidate-from-scratch implementation survives as
 :class:`~repro.core.selection.reference.ReferenceGreedySelector`.
 
@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set
 
-from repro.core.crowd import ChannelModel
-from repro.core.distribution import JointDistribution
 from repro.core.selection.base import (
     TIE_TOLERANCE,
     SelectionResult,
@@ -139,27 +137,14 @@ def run_greedy_on_engine(
     )
 
 
-def run_engine_greedy(
-    distribution: JointDistribution,
-    crowd: ChannelModel,
-    k: int,
-    candidates: Sequence[str],
-    use_pruning: bool = False,
-) -> SelectionResult:
-    """Build a fresh engine for ``distribution`` and run Algorithm 1 on it."""
-    return run_greedy_on_engine(
-        EntropyEngine(distribution, crowd), k, candidates, use_pruning=use_pruning
-    )
-
-
 class GreedySelector(ParallelSelectorMixin, TaskSelector):
     """Algorithm 1: iterative greedy selection maximising ``H(T)``.
 
     Selections against a
     :class:`~repro.core.selection.session.RefinementSession` with a worker
-    pool may shard each iteration's candidate scan across it (the pool
-    policy's auto-serial threshold keeps small rounds in process); selections
-    are bit-for-bit identical to the serial path either way.
+    pool may shard each iteration's candidate scan across it (the auto-serial
+    ``parallel_threshold`` keeps small rounds in process); selections are
+    bit-for-bit identical to the serial path either way.
     """
 
     name = "greedy"
@@ -176,22 +161,4 @@ class GreedySelector(ParallelSelectorMixin, TaskSelector):
     ) -> SelectionResult:
         return run_greedy_on_engine(
             engine, k, candidates, use_pruning=self.use_pruning, evaluator=evaluator
-        )
-
-    def _select(
-        self,
-        distribution: JointDistribution,
-        crowd: ChannelModel,
-        k: int,
-        candidates: Sequence[str],
-    ) -> SelectionResult:
-        return self._runner(EntropyEngine(distribution, crowd), k, candidates, None)
-
-    def _select_with_session(self, session, k, candidates) -> SelectionResult:
-        return self._scan(
-            session.engine,
-            k,
-            candidates,
-            self._runner,
-            session.shared_evaluator(),
         )

@@ -38,10 +38,9 @@ every remaining stale bound below the best refreshed gain minus the margin —
 is the same in both forms, so the same winner (and the same tie behaviour)
 falls out of the same re-rank, with the refresh work sharded across cores.
 
-Like the other greedy variants, the scan runs on a vectorized incremental
-engine that may be built fresh per call or borrowed warm from a
-:class:`~repro.core.selection.session.RefinementSession` (whose worker
-pool, when configured, also serves the refresh waves).
+Like the other greedy variants, the scan runs on the vectorized incremental
+engine of a :class:`~repro.core.selection.session.RefinementSession` (whose
+worker pool, when configured, also serves the refresh waves).
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.crowd import ChannelModel
-from repro.core.distribution import JointDistribution
 from repro.core.selection.base import (
     TIE_TOLERANCE,
     SelectionResult,
@@ -229,21 +226,3 @@ class LazyGreedySelector(ParallelSelectorMixin, TaskSelector):
         evaluator: Optional[PooledEvaluator],
     ) -> SelectionResult:
         return run_lazy_greedy_on_engine(engine, k, candidates, evaluator=evaluator)
-
-    def _select(
-        self,
-        distribution: JointDistribution,
-        crowd: ChannelModel,
-        k: int,
-        candidates: Sequence[str],
-    ) -> SelectionResult:
-        return self._runner(EntropyEngine(distribution, crowd), k, candidates, None)
-
-    def _select_with_session(self, session, k, candidates) -> SelectionResult:
-        return self._scan(
-            session.engine,
-            k,
-            candidates,
-            self._runner,
-            session.shared_evaluator(),
-        )

@@ -44,9 +44,10 @@ This module shards the scan across one kind of worker pool, the
   fork mark the pool stale; the next dispatch re-forks once with the full
   registry.
 * **Chunked dispatch with an auto-serial policy** — candidates are dispatched
-  in order-preserving chunks (several per worker, for load balance), and a
-  :class:`ParallelPolicy` decides per scan whether parallelism pays at all:
-  below a work threshold (candidates × support rows) the evaluator reports
+  in order-preserving chunks (several per worker, for load balance), and the
+  pool's :class:`~repro.core.runtime.RuntimeOptions` decide per scan whether
+  parallelism pays at all: below ``parallel_threshold`` work units
+  (candidates × support rows) the evaluator reports
   "serial" and the caller runs the ordinary in-process scan, so small
   Table-V-sized rounds never pay the fork or IPC overhead.
 
@@ -54,8 +55,8 @@ Whoever builds a pool closes it.  A
 :class:`~repro.core.selection.session.RefinementSession` built with
 ``RuntimeOptions(workers=N)`` builds a one-attachment pool and closes it in
 ``close()``; a session given ``evaluator_pool=`` only attaches to a pool its
-caller owns (the experiment runner's one pool per run, the service's engine
-group).
+caller owns (the experiment runner's one pool per run, the service's one
+shared pool).
 
 Selection results are **bit-for-bit identical** to the serial path by
 construction: the evaluator returns one entropy per candidate in candidate
@@ -79,7 +80,7 @@ import weakref
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +89,9 @@ from repro.core.selection.base import SelectionResult
 from repro.core.selection.engine import EntropyEngine, SelectionState
 from repro.exceptions import SelectionError
 from repro.testing import faults
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from repro.core.runtime import RuntimeOptions
 
 _LOGGER = logging.getLogger("repro.selection.parallel")
 
@@ -98,10 +102,14 @@ _LOGGER = logging.getLogger("repro.selection.parallel")
 #: — sits orders of magnitude under it and never leaves the serial path).
 DEFAULT_PARALLEL_THRESHOLD = 1 << 22
 
-#: Chunks dispatched per worker per iteration when no explicit chunk size is
-#: configured: more than one for load balance (candidate costs vary with the
-#: cached-partition width), few enough that IPC stays negligible.
+#: Chunks dispatched per worker per iteration: more than one for load balance
+#: (candidate costs vary with the cached-partition width), few enough that
+#: IPC stays negligible.
 _CHUNKS_PER_WORKER = 4
+
+#: Seconds between the supervisor's liveness probes of the worker processes
+#: while a dispatch is in flight.
+_HEARTBEAT_S = 0.05
 
 #: Slots in each engine's shared-memory snapshot ring.  ``pool.map`` is
 #: synchronous, so one slot would suffice for correctness; a small ring keeps
@@ -126,11 +134,12 @@ _WORKER_STATES: Dict[int, SelectionState] = {}
 
 #: Serialises every set-globals → fork → clear-globals sequence across *all*
 #: :class:`EvaluatorPool` instances.  The per-instance locks are not enough:
-#: a multi-pool service dispatches from several executor threads, and two
-#: pools forking concurrently would race on the module globals above — pool
-#: B overwriting (or clearing) them between pool A publishing its registry
-#: and A's fork completing, so A's workers could inherit B's engines under
-#: A's per-pool engine ids and silently score another tenant's posterior.
+#: pools owned by different callers (sessions, experiments, the service) may
+#: dispatch from different threads, and two pools forking concurrently would
+#: race on the module globals above — pool B overwriting (or clearing) them
+#: between pool A publishing its registry and A's fork completing, so A's
+#: workers could inherit B's engines under A's per-pool engine ids and
+#: silently score another tenant's posterior.
 _FORK_PUBLISH_LOCK = threading.Lock()
 
 
@@ -342,83 +351,9 @@ class _SnapshotRing:
         _LIVE_RINGS.discard(self)
 
 
-@dataclass(frozen=True)
-class ParallelPolicy:
-    """When and how to shard candidate evaluations across processes.
-
-    Attributes
-    ----------
-    workers:
-        Worker processes to use; ``None`` means one per available CPU.
-        A resolved count below two always selects the serial path.
-    parallel_threshold:
-        Minimum work size (candidates × support rows) of one iteration's scan
-        before the pool is used; smaller scans run serially so that small
-        rounds never regress.  Zero forces parallelism whenever possible.
-    chunk_size:
-        Candidates per dispatched chunk; ``None`` derives a size giving each
-        worker several chunks for load balance.
-    max_rebuilds:
-        Consecutive crashed dispatches the supervisor absorbs (rebuilding the
-        pool after each) before the circuit breaker trips and the evaluator
-        degrades to the serial path for the rest of its life.
-    dispatch_timeout:
-        Wall-clock seconds one dispatch may take before the supervisor
-        declares the pool hung and treats it as crashed; ``None`` (the
-        default) disables the timeout — a healthy scan's duration scales with
-        corpus size, so there is no safe universal default.
-    heartbeat:
-        Seconds between the supervisor's liveness probes of the worker
-        processes while a dispatch is in flight.
-    """
-
-    workers: Optional[int] = None
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
-    chunk_size: Optional[int] = None
-    max_rebuilds: int = 2
-    dispatch_timeout: Optional[float] = None
-    heartbeat: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise SelectionError(f"workers must be positive, got {self.workers}")
-        if self.parallel_threshold < 0:
-            raise SelectionError(
-                f"parallel_threshold must be non-negative, got {self.parallel_threshold}"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise SelectionError(f"chunk_size must be positive, got {self.chunk_size}")
-        if self.max_rebuilds < 0:
-            raise SelectionError(
-                f"max_rebuilds must be non-negative, got {self.max_rebuilds}"
-            )
-        if self.dispatch_timeout is not None and self.dispatch_timeout <= 0:
-            raise SelectionError(
-                f"dispatch_timeout must be positive, got {self.dispatch_timeout}"
-            )
-        if self.heartbeat <= 0:
-            raise SelectionError(f"heartbeat must be positive, got {self.heartbeat}")
-
-    def resolved_workers(self) -> int:
-        """The worker count this policy resolves to on this machine."""
-        if self.workers is not None:
-            return self.workers
-        return os.cpu_count() or 1
-
-    def should_parallelise(self, num_candidates: int, support_size: int) -> bool:
-        """Decide serial vs. parallel for one iteration's candidate scan."""
-        if self.resolved_workers() < 2 or not fork_available():
-            return False
-        if num_candidates < 2:
-            return False
-        return num_candidates * support_size >= self.parallel_threshold
-
-    def resolved_chunk_size(self, num_candidates: int) -> int:
-        """Candidates per chunk for a scan of ``num_candidates``."""
-        if self.chunk_size is not None:
-            return self.chunk_size
-        per_worker = self.resolved_workers() * _CHUNKS_PER_WORKER
-        return max(1, math.ceil(num_candidates / per_worker))
+def _chunk_size(workers: int, num_candidates: int) -> int:
+    """Candidates per dispatched chunk: several chunks per worker."""
+    return max(1, math.ceil(num_candidates / (workers * _CHUNKS_PER_WORKER)))
 
 
 def _advance_state(
@@ -493,7 +428,7 @@ def _evaluate_chunk(
     return engine.extension_entropies(state, chunk).task_entropies
 
 
-def _supervised_map(pool, procs, worker, chunks, policy: ParallelPolicy):
+def _supervised_map(pool, procs, worker, chunks, timeout: Optional[float]):
     """One crash-aware ``pool.map``: dispatch, watch the workers, collect.
 
     ``procs`` is the snapshot of worker processes taken immediately after the
@@ -501,7 +436,7 @@ def _supervised_map(pool, procs, worker, chunks, policy: ParallelPolicy):
     maintenance thread silently replaces dead workers (with processes that
     never inherited the engine) and would hide the death from a late
     snapshot.  Raises :class:`WorkerCrashError` when a snapshot worker has
-    died, the dispatch exceeds ``policy.dispatch_timeout``, or a worker
+    died, the dispatch exceeds ``timeout`` seconds, or a worker
     reported :class:`WorkerSyncError`; any other worker exception (an
     application-level scoring error) propagates unchanged.
     """
@@ -512,10 +447,9 @@ def _supervised_map(pool, procs, worker, chunks, policy: ParallelPolicy):
                 "before dispatch"
             )
     result = pool.map_async(worker, chunks)
-    timeout = policy.dispatch_timeout
     deadline = None if timeout is None else time.monotonic() + timeout
     while not result.ready():
-        result.wait(policy.heartbeat)
+        result.wait(_HEARTBEAT_S)
         if result.ready():
             break
         for proc in procs:
@@ -593,7 +527,7 @@ class _Attachment:
 
     engine: EntropyEngine
     #: Created by the first fork that includes this engine, so engines whose
-    #: scans never clear the policy threshold never allocate shared memory.
+    #: scans never clear the parallel threshold never allocate shared memory.
     ring: Optional[_SnapshotRing] = None
     #: Last posterior generation published into the ring (fork-time value
     #: until the first post-fork reweight — workers inherited that posterior).
@@ -628,8 +562,13 @@ class EvaluatorPool:
     copy inside the workers is unreachable dead weight until the next refork.
     """
 
-    def __init__(self, policy: ParallelPolicy):
-        if policy.resolved_workers() >= 2 and not fork_available():
+    def __init__(self, runtime: "RuntimeOptions"):
+        if runtime.workers is None:
+            raise SelectionError(
+                "an evaluator pool needs RuntimeOptions(workers=N); without "
+                "workers every scan runs serially and no pool is needed"
+            )
+        if runtime.workers >= 2 and not fork_available():
             warnings.warn(
                 "this platform has no fork start method, so the shared "
                 "evaluator pool cannot engage; all candidate scans will run "
@@ -637,7 +576,17 @@ class EvaluatorPool:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        self._policy = policy
+        self._runtime = runtime
+        self._threshold = (
+            DEFAULT_PARALLEL_THRESHOLD
+            if runtime.parallel_threshold is None
+            else runtime.parallel_threshold
+        )
+        self._timeout = (
+            None
+            if runtime.dispatch_timeout_ms is None
+            else runtime.dispatch_timeout_ms / 1000.0
+        )
         self._attachments: Dict[int, _Attachment] = {}
         self._pool = None
         self._procs: Tuple = ()
@@ -653,9 +602,31 @@ class EvaluatorPool:
         self.breaker_trips = 0
 
     @property
-    def policy(self) -> ParallelPolicy:
-        """The sharding policy every attached engine is scored under."""
-        return self._policy
+    def runtime(self) -> "RuntimeOptions":
+        """The options every attached engine is scored under."""
+        return self._runtime
+
+    def would_parallelise(self, num_candidates: int, support_size: int) -> bool:
+        """Whether a scan of ``num_candidates`` over ``support_size`` rows
+        clears the threshold (and this host can fork at least two workers)."""
+        if self._runtime.workers < 2 or not fork_available():
+            return False
+        if num_candidates < 2:
+            return False
+        return num_candidates * support_size >= self._threshold
+
+    def metrics(self) -> Dict[str, object]:
+        """Residency, traffic and recovery counters for a metrics endpoint."""
+        return {
+            "attached": self.attached,
+            "forked": self.forked,
+            "dispatches": self.dispatches,
+            "reforks": self.reforks,
+            "worker_crashes": self.worker_crashes,
+            "pool_rebuilds": self.pool_rebuilds,
+            "breaker_trips": self.breaker_trips,
+            "degraded": self.degraded,
+        }
 
     @property
     def attached(self) -> int:
@@ -736,7 +707,7 @@ class EvaluatorPool:
             self.reforks += 1
         global _FORK_ENGINES, _FORK_RING_MAP
         context = multiprocessing.get_context("fork")
-        self.workers = self._policy.resolved_workers()
+        self.workers = self._runtime.workers
         for attachment in self._attachments.values():
             # The ring must exist before the fork so workers inherit the
             # shared mapping.  Workers inherit each engine's current
@@ -802,7 +773,7 @@ class EvaluatorPool:
         """Score ``candidates`` for one attached engine, in candidate order.
 
         Returns ``(entropies, chunk_size)``; entropies are ``None`` when the
-        policy elects the serial path for this scan (too little work, too few
+        scan stays serial for this scan (too little work, too few
         workers, no ``fork`` support) and when the circuit breaker has
         tripped; the caller then runs its ordinary in-process loop.
 
@@ -810,7 +781,7 @@ class EvaluatorPool:
         aborts the dispatch and the whole pool is rebuilt (every attachment's
         generation baselines reset to its engine's current state, so every
         tenant's recovered scans stay bit-identical to serial).  After
-        ``policy.max_rebuilds`` consecutive failures the breaker degrades the
+        ``runtime.max_rebuilds`` consecutive failures the breaker degrades the
         pool to serial for all tenants — never an error to any caller.
         """
         with self._lock:
@@ -822,11 +793,9 @@ class EvaluatorPool:
                     "(was the session already evicted?)"
                 ) from None
             support_size = attachment.engine.support_masks.shape[0]
-            if not self._policy.should_parallelise(len(candidates), support_size):
+            if self._broken or not self.would_parallelise(len(candidates), support_size):
                 return None, 0
-            if self._broken:
-                return None, 0
-            chunk_size = self._policy.resolved_chunk_size(len(candidates))
+            chunk_size = _chunk_size(self._runtime.workers, len(candidates))
             chunks = [
                 list(candidates[start:start + chunk_size])
                 for start in range(0, len(candidates), chunk_size)
@@ -842,13 +811,13 @@ class EvaluatorPool:
                 worker = partial(_evaluate_chunk, header, state.task_ids)
                 try:
                     scored = _supervised_map(
-                        pool, self._procs, worker, chunks, self._policy
+                        pool, self._procs, worker, chunks, self._timeout
                     )
                 except WorkerCrashError as crash:
                     crashes += 1
                     self.worker_crashes += 1
                     self._terminate_pool()
-                    if crashes > self._policy.max_rebuilds:
+                    if crashes > self._runtime.max_rebuilds:
                         self._broken = True
                         self.breaker_trips += 1
                         _LOGGER.warning(
@@ -866,7 +835,7 @@ class EvaluatorPool:
                         "(attempt %d/%d)",
                         crash,
                         crashes,
-                        self._policy.max_rebuilds,
+                        self._runtime.max_rebuilds,
                     )
                     continue
                 self.dispatches += 1
@@ -912,20 +881,18 @@ class PooledEvaluator:
 
     def would_parallelise(self, num_candidates: int) -> bool:
         """Whether a scan of ``num_candidates`` would engage the shared pool."""
-        return self._shared_pool.policy.should_parallelise(
+        return self._shared_pool.would_parallelise(
             num_candidates, self._engine.support_masks.shape[0]
         )
 
     def refresh_batch_size(self) -> int:
         """Candidates a lazy (CELF) selector should refresh per wave.
 
-        Enough to hand every worker its configured chunk share, so a wave
-        that clears the policy threshold saturates the pool; small enough
-        that lazy evaluation still skips the long tail of stale candidates.
+        Enough to hand every worker its chunk share, so a wave that clears
+        the parallel threshold saturates the pool; small enough that lazy
+        evaluation still skips the long tail of stale candidates.
         """
-        policy = self._shared_pool.policy
-        chunk = policy.chunk_size or _CHUNKS_PER_WORKER
-        return max(1, policy.resolved_workers() * chunk)
+        return self._shared_pool.runtime.workers * _CHUNKS_PER_WORKER
 
     def evaluate(
         self, state: SelectionState, candidates: Sequence[str]
@@ -961,29 +928,23 @@ class PooledEvaluator:
 class ParallelSelectorMixin:
     """Parallel-scan wiring shared by the greedy selector family.
 
-    Session selections score through the session's evaluator
-    (:meth:`RefinementSession.shared_evaluator
+    Subclasses implement ``_runner(engine, k, candidates, evaluator)``; the
+    mixin runs it on the session's engine and scores through the session's
+    evaluator (:meth:`RefinementSession.shared_evaluator
     <repro.core.selection.session.RefinementSession.shared_evaluator>`) when
-    it has one; every other selection runs the plain serial path.  The
-    per-selection ``SelectionStats`` report only what *this* selection used:
-    the evaluator's cumulative counters are differenced around the call, and
-    a call whose scans all stayed under the auto-serial threshold reports
-    zero workers even though the long-lived pool exists.
+    it has one.  The per-selection ``SelectionStats`` report only what *this*
+    selection used: the evaluator's cumulative counters are differenced
+    around the call, and a call whose scans all stayed under the auto-serial
+    threshold reports zero workers even though the long-lived pool exists.
     """
 
-    @staticmethod
-    def _scan(
-        engine: EntropyEngine,
-        k: int,
-        candidates: Sequence[str],
-        runner,
-        evaluator: Optional[PooledEvaluator] = None,
-    ) -> SelectionResult:
-        """Run ``runner(engine, k, candidates, evaluator)`` and record its stats."""
+    def _select(self, session, k: int, candidates: Sequence[str]) -> SelectionResult:
+        engine = session.engine
+        evaluator = session.shared_evaluator()
         if evaluator is None:
-            return runner(engine, k, candidates, None)
+            return self._runner(engine, k, candidates, None)
         before = evaluator.parallel_evaluations
-        result = runner(engine, k, candidates, evaluator)
+        result = self._runner(engine, k, candidates, evaluator)
         served = evaluator.parallel_evaluations - before
         result.stats.parallel_evaluations = served
         result.stats.workers = evaluator.workers if served else 0

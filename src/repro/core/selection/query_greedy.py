@@ -17,8 +17,9 @@ partitioned into facts-of-interest cells, so each candidate costs one grouped
 sum and one channel pass per cell — both ``H(T ∪ {f})`` and ``H(I, T ∪ {f})``
 fall out of the same cached table.  The channels may be heterogeneous (the
 conditional-utility objective already absorbs per-task noise, so no ranking
-adjustment is needed), and a :class:`~repro.core.selection.session.RefinementSession`
-built with the same facts of interest lends its warm engine across rounds.
+adjustment is needed).  A :class:`~repro.core.selection.session.RefinementSession`
+built with the same facts of interest lends its warm engine across rounds;
+any other session scores on an interest view of its engine.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.core.selection.base import (
     SelectionStats,
     TaskSelector,
 )
-from repro.core.selection.engine import EntropyEngine
 from repro.core.selection.greedy import GAIN_TOLERANCE
 from repro.exceptions import QueryError
 
@@ -73,9 +73,13 @@ class QueryGreedySelector(TaskSelector):
         if missing:
             raise QueryError(f"query references unknown facts: {missing}")
 
-    def _run_on_engine(
-        self, engine: EntropyEngine, k: int, candidates: Sequence[str]
-    ) -> SelectionResult:
+    def _select(self, session, k, candidates) -> SelectionResult:
+        self._check_query_facts(session.fact_ids)
+        # A session built for this exact interest set lends its engine
+        # directly; any other query runs on an interest *view* — same support
+        # arrays, same shared bit-column cache, its own interest cells — so
+        # batches of queries against one entity never rebuild per-fact state.
+        engine = session.engine_for_interest(self._query.fact_ids)
         stats = SelectionStats()
         state = engine.initial_state()
         remaining = list(candidates)
@@ -109,25 +113,4 @@ class QueryGreedySelector(TaskSelector):
 
         return SelectionResult(
             task_ids=state.task_ids, objective=current_utility, stats=stats
-        )
-
-    def _select(
-        self,
-        distribution: JointDistribution,
-        crowd: ChannelModel,
-        k: int,
-        candidates: Sequence[str],
-    ) -> SelectionResult:
-        self._check_query_facts(distribution.fact_ids)
-        engine = EntropyEngine(distribution, crowd, interest_ids=self._query.fact_ids)
-        return self._run_on_engine(engine, k, candidates)
-
-    def _select_with_session(self, session, k, candidates) -> SelectionResult:
-        self._check_query_facts(session.fact_ids)
-        # A session built for this exact interest set lends its engine
-        # directly; any other query runs on an interest *view* — same support
-        # arrays, same shared bit-column cache, its own interest cells — so
-        # batches of queries against one entity never rebuild per-fact state.
-        return self._run_on_engine(
-            session.engine_for_interest(self._query.fact_ids), k, candidates
         )

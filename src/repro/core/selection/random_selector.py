@@ -6,8 +6,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.crowd import ChannelModel
-from repro.core.distribution import JointDistribution
 from repro.core.selection.base import SelectionResult, SelectionStats, TaskSelector
 
 
@@ -24,15 +22,9 @@ class RandomSelector(TaskSelector):
     def __init__(self, seed: Optional[int] = None):
         self._rng = np.random.default_rng(seed)
 
-    def _select(
-        self,
-        distribution: JointDistribution,
-        crowd: ChannelModel,
-        k: int,
-        candidates: Sequence[str],
-    ) -> SelectionResult:
+    def _select(self, session, k: int, candidates: Sequence[str]) -> SelectionResult:
         stats = SelectionStats(candidate_evaluations=0, iterations=1)
         chosen = self._rng.choice(len(candidates), size=k, replace=False)
         task_ids = tuple(candidates[index] for index in sorted(chosen))
-        objective = crowd.task_entropy(distribution, task_ids)
+        objective = session.channel.task_entropy(session.distribution, task_ids)
         return SelectionResult(task_ids=task_ids, objective=objective, stats=stats)

@@ -90,13 +90,9 @@ class ReferenceGreedySelector(TaskSelector):
 
     name = "greedy_reference"
 
-    def _select(
-        self,
-        distribution: JointDistribution,
-        crowd: CrowdModel,
-        k: int,
-        candidates: Sequence[str],
-    ) -> SelectionResult:
+    def _select(self, session, k: int, candidates: Sequence[str]) -> SelectionResult:
+        distribution = session.distribution
+        crowd = session.channel
         accuracy = getattr(crowd, "uniform_accuracy", None)
         if accuracy is None:
             raise SelectionError(

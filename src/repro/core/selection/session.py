@@ -68,7 +68,7 @@ from repro.core.merging import answer_likelihood_array
 from repro.core.query import Query
 from repro.core.selection.base import SelectionResult, TaskSelector
 from repro.core.selection.engine import EntropyEngine
-from repro.core.selection.parallel import EvaluatorPool, ParallelPolicy, PooledEvaluator
+from repro.core.selection.parallel import EvaluatorPool, PooledEvaluator
 from repro.exceptions import SelectionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -129,11 +129,13 @@ class RefinementSession:
             raise SelectionError(
                 f"recalibration smoothing must be positive, got {recalibration_smoothing}"
             )
-        policy = runtime.parallel_policy if runtime is not None else None
-        if evaluator_pool is not None and policy is not None:
+        own_runtime = (
+            runtime if runtime is not None and runtime.workers is not None else None
+        )
+        if evaluator_pool is not None and own_runtime is not None:
             raise SelectionError(
                 "RefinementSession cannot combine runtime workers with a shared "
-                "evaluator_pool; the pool already carries its own policy"
+                "evaluator_pool; the pool already carries its own options"
             )
         self._initial = distribution
         self._base_channel = channel
@@ -147,25 +149,12 @@ class RefinementSession:
         self._smoothing = recalibration_smoothing
         self._agreement_mass: Dict[str, float] = {}
         self._agreement_count: Dict[str, int] = {}
-        self._own_policy = policy
+        self._own_runtime = own_runtime
         self._evaluator_pool = evaluator_pool
         self._own_pool: Optional[EvaluatorPool] = None
         self._evaluator: Optional[PooledEvaluator] = None
 
     # -- parallel runtime --------------------------------------------------------------
-
-    @property
-    def parallel_policy(self) -> Optional[ParallelPolicy]:
-        """The policy candidate scans run under (``None`` = serial).
-
-        For a session attached to a caller's
-        :class:`~repro.core.selection.parallel.EvaluatorPool` this is the
-        pool's policy — every tenant of one pool is scored under the same
-        sharding rules.
-        """
-        if self._evaluator_pool is not None:
-            return self._evaluator_pool.policy
-        return self._own_policy
 
     def shared_evaluator(self) -> Optional[PooledEvaluator]:
         """The session's evaluator, or ``None`` for a serial session.
@@ -173,7 +162,7 @@ class RefinementSession:
         Created lazily on first request by attaching the engine to the
         caller's ``evaluator_pool`` or, with ``runtime.workers``, to a pool
         the session builds for itself.  The pool forks lazily on the first
-        candidate scan that clears the policy threshold, so merely
+        candidate scan that clears the parallel threshold, so merely
         configuring workers costs nothing until parallelism actually pays.
         The evaluator stays valid across merges and channel swaps — the pool
         ships the engine's current generation to its workers on every
@@ -181,8 +170,8 @@ class RefinementSession:
         """
         if self._evaluator is None:
             pool = self._evaluator_pool
-            if pool is None and self._own_policy is not None:
-                pool = self._own_pool = EvaluatorPool(self._own_policy)
+            if pool is None and self._own_runtime is not None:
+                pool = self._own_pool = EvaluatorPool(self._own_runtime)
             if pool is not None:
                 self._evaluator = pool.attach(self._engine)
         return self._evaluator
@@ -332,10 +321,10 @@ class RefinementSession:
 
         Every query is scored through the session (so interest views share
         this entity's cached per-fact bit columns and probability snapshot)
-        rather than through one fresh engine per query.  Results are aligned
+        rather than through one fresh session per query.  Results are aligned
         with ``queries`` and identical to running each query's
         :class:`~repro.core.selection.query_greedy.QueryGreedySelector`
-        against the materialised posterior on its own engine.
+        ``select`` against the materialised posterior.
         """
         # Imported here: query_greedy imports the selection base modules this
         # module also feeds, and the registry wires both — a lazy import keeps

@@ -47,7 +47,6 @@ from repro.core.runtime import RuntimeOptions
 from repro.core.selection import TaskSelector, get_selector
 from repro.core.selection.parallel import (
     EvaluatorPool,
-    ParallelPolicy,
     ParallelSelectorMixin,
     restore_default_sigterm,
 )
@@ -246,11 +245,6 @@ class ExperimentConfig:
         """The effective typed runtime configuration (serial when unset)."""
         return self.runtime if self.runtime is not None else RuntimeOptions()
 
-    @property
-    def parallel_policy(self) -> Optional[ParallelPolicy]:
-        """The parallel-scan policy this configuration implies (or ``None``)."""
-        return self.runtime_options.parallel_policy
-
 
 @dataclass(frozen=True)
 class QualityPoint:
@@ -432,13 +426,12 @@ def run_quality_experiment(
     if runtime.parallel_entities is not None:
         return _run_fanned_out(list(problems), config, budget_overrides)
 
-    parallel_policy = runtime.parallel_policy
-    if parallel_policy is None:
+    if runtime.workers is None:
         return _run_lock_step(problems, config, budget_overrides, None)
     # One worker pool for the whole run, owned (and closed) here: every
     # entity's session attaches to it, so resident workers stay at
     # ``workers`` no matter how many entities there are.
-    with EvaluatorPool(parallel_policy) as evaluator_pool:
+    with EvaluatorPool(runtime) as evaluator_pool:
         return _run_lock_step(problems, config, budget_overrides, evaluator_pool)
 
 

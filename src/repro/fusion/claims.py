@@ -8,8 +8,8 @@ each claim as a binary fact ("is this claimed value correct?").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import FusionError
 
@@ -41,14 +41,21 @@ class Claim:
     value:
         The claimed value, compared for exact equality between sources.
     sources:
-        The ids of the sources asserting exactly this value.
+        The ids of the sources asserting exactly this value, sorted.  Every
+        fusion method sums per-source floats over them, and a fixed order
+        makes those sums independent of the process's string-hash seed
+        (``PYTHONHASHSEED``), so a prior rebuilt in another process is
+        bit-identical.
     """
 
     claim_id: str
     entity: str
     attribute: str
     value: str
-    sources: FrozenSet[str] = field(default_factory=frozenset)
+    sources: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sources", tuple(sorted(self.sources)))
 
     @property
     def data_item(self) -> Tuple[str, str]:
@@ -125,7 +132,7 @@ class ClaimDatabase:
                     entity=entity,
                     attribute=attribute,
                     value=value,
-                    sources=frozenset(self._observations[(entity, attribute, value)]),
+                    sources=self._observations[(entity, attribute, value)],
                 )
             )
         return tuple(result)

@@ -28,7 +28,7 @@ run directory through a TCP coordinator that leases contiguous entity
 ranges to shard workers (``crowdfusion shard-worker --connect``), fences
 dead or zombie leases with monotonically increasing epochs, and adds::
 
-    leases.json           atomic epoch + active-lease snapshot
+    leases.json           the fencing epoch, rewritten atomically when it changes
     journal-<worker>.jsonl  accepted entity_done records, per worker
 
 Worker journals are merged deterministically on resume and assembly

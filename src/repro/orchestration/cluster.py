@@ -15,8 +15,9 @@ trusts late arrivals:
   a lease only ever expires for a dead, partitioned, or zombie worker.
 * **Fencing epochs.**  The coordinator keeps one monotonically increasing
   epoch, persisted in ``leases.json`` through the same
-  ``atomic_write_json`` path as the checkpoints.  Every lease carries the
-  epoch it was granted under; expiring or losing a lease bumps the epoch, so
+  ``atomic_write_json`` path as the checkpoints whenever it changes (at
+  start and on a fence).  Every lease carries the epoch it was granted
+  under; expiring or losing a lease bumps the epoch, so
   a zombie worker that finishes its range *after* expiry submits results
   quoting a dead ``(lease, epoch)`` pair — rejected, journalled as
   ``result_rejected``, and never written to a worker journal.  A restarted
@@ -268,25 +269,13 @@ class _Coordinator:
 
     # -- durability ---------------------------------------------------------------------
 
-    def _persist_leases(self) -> None:
-        atomic_write_json(
-            self.leases_path,
-            {
-                "epoch": self.epoch,
-                "active": [
-                    {
-                        "lease": lease.lease_id,
-                        "worker": lease.worker,
-                        "epoch": lease.epoch,
-                        "start": lease.start,
-                        "stop": lease.stop,
-                        "pending": sorted(lease.pending),
-                    }
-                    for lease in self.active.values()
-                ],
-                "stats": self.stats.to_payload(),
-            },
-        )
+    def _persist_epoch(self) -> None:
+        """Persist the epoch; called whenever it changes, before any grant at it.
+
+        Every lease is granted at the last persisted epoch, so a restarted
+        coordinator starting at ``stored + 1`` re-fences above every grant.
+        """
+        atomic_write_json(self.leases_path, {"epoch": self.epoch})
 
     # -- socket plumbing ----------------------------------------------------------------
 
@@ -385,7 +374,7 @@ class _Coordinator:
             self.state.fail(
                 index, attempt, f"lease {lease.lease_id} fenced ({reason})"
             )
-        self._persist_leases()
+        self._persist_epoch()
 
     # -- message handling ---------------------------------------------------------------
 
@@ -521,7 +510,6 @@ class _Coordinator:
                     "worker": lease.worker,
                 }
             )
-            self._persist_leases()
 
     # -- granting -----------------------------------------------------------------------
 
@@ -560,7 +548,6 @@ class _Coordinator:
                     "attempts": {str(i): attempt for i, attempt in taken},
                 }
             )
-            self._persist_leases()
             if not self._send(
                 conn,
                 wire.LeaseGrant(
@@ -585,7 +572,7 @@ class _Coordinator:
         stored = read_json(self.leases_path)
         self.epoch = int(stored["epoch"]) + 1 if stored else 1
         self.stats.epoch = self.epoch
-        self._persist_leases()
+        self._persist_epoch()
         pool: Optional[_LocalWorkerPool] = None
         try:
             port = self.bind()
@@ -602,7 +589,6 @@ class _Coordinator:
                 register_shutdown_reaper(pool)
             while state.queue or self.active:
                 self._step()
-            self._persist_leases()
             state.log({"type": "cluster_stats", **self.stats.to_payload()})
             for key in list(self.selector.get_map().values()):
                 if key.data is not None:
@@ -629,6 +615,10 @@ class _Coordinator:
         now = time.monotonic()
         for lease in list(self.active.values()):
             if lease.deadline <= now:
+                # The worker missed its heartbeats: no new lease until it
+                # beats again, or a zombie would churn through re-grants it
+                # cannot see, each expiring and charging another attempt.
+                lease.conn.suspect = True
                 self._fence_lease(
                     lease, f"no heartbeat for {self.cluster.lease_ttl_s:.3f}s"
                 )

@@ -5,9 +5,9 @@ answers and asks "which tasks next?" under a running budget — and this
 package exposes exactly that loop as a long-running service.  Sessions are
 addressable resources backed by the persistent
 :class:`~repro.core.selection.session.RefinementSession` runtime, and many
-tenants' candidate scans are multiplexed onto a small, fixed set of shared
-:class:`~repro.core.selection.parallel.EvaluatorPool` worker pools instead
-of one pool per tenant.
+tenants' candidate scans are multiplexed onto one shared
+:class:`~repro.core.selection.parallel.EvaluatorPool` instead of one pool per
+tenant.
 
 Layers (each importable on its own):
 
@@ -15,7 +15,6 @@ Layers (each importable on its own):
   service error hierarchy and the JSON wire codecs;
 * :mod:`repro.service.registry` — session bookkeeping on a
   :class:`~repro.core.selection.session.SessionPool`;
-* :mod:`repro.service.batching` — the shared evaluator-pool group;
 * :mod:`repro.service.metrics` — counters and latency percentiles;
 * :mod:`repro.service.server` — the asyncio :class:`RefinementService`;
 * :mod:`repro.service.transport` — a JSON-lines TCP front end;

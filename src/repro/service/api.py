@@ -70,7 +70,7 @@ class SessionOverloadedError(ServiceError):
 
     The 429 of the service: per-tenant backpressure rejects new work
     *immediately* instead of letting one chatty tenant grow an unbounded
-    backlog that starves every other tenant of the shared worker pools.
+    backlog that starves every other tenant of the shared worker pool.
     Retry-safe by construction — the rejected request was never queued.
     """
 

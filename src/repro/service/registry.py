@@ -19,6 +19,7 @@ from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.selection import available_selectors, get_selector
 from repro.core.selection.base import TaskSelector
+from repro.core.selection.parallel import EvaluatorPool
 from repro.core.selection.session import RefinementSession, SessionPool
 from repro.exceptions import BudgetError, CrowdFusionError, SelectionError
 from repro.service.api import (
@@ -26,7 +27,6 @@ from repro.service.api import (
     UnknownSessionError,
     ValidationFailedError,
 )
-from repro.service.batching import EngineGroup
 
 #: Generation key of a cached response: ``(reweights, channel_swaps)`` of the
 #: session's engine.  Both counters only ever grow, and between them they
@@ -106,7 +106,7 @@ class SessionRegistry:
 
     def __init__(
         self,
-        group: EngineGroup,
+        evaluator_pool: Optional[EvaluatorPool] = None,
         snapshot_dir: Optional[str] = None,
         max_sessions: Optional[int] = None,
         idle_ttl_s: Optional[float] = None,
@@ -126,7 +126,9 @@ class SessionRegistry:
                 "evicting sessions without durable snapshots would drop "
                 "tenant state"
             )
-        self._group = group
+        self._evaluator_pool = evaluator_pool
+        #: Sessions attached to the shared pool so far (creations + revivals).
+        self.sessions_assigned = 0
         self._pool = SessionPool()
         self._records: Dict[str, SessionRecord] = {}
         self.max_sessions = max_sessions
@@ -161,6 +163,12 @@ class SessionRegistry:
     def __len__(self) -> int:
         return len(self._records)
 
+    def _acquire(self) -> Optional[EvaluatorPool]:
+        """The pool a new or revived session attaches to (``None`` = serial)."""
+        if self._evaluator_pool is not None:
+            self.sessions_assigned += 1
+        return self._evaluator_pool
+
     def create(
         self,
         distribution: JointDistribution,
@@ -168,7 +176,7 @@ class SessionRegistry:
         budget: int,
         selector: str = "greedy_prune_pre",
     ) -> SessionRecord:
-        """Register a new session attached to one of the shared pools."""
+        """Register a new session attached to the shared pool."""
         if budget <= 0:
             raise ValidationFailedError(f"budget must be positive, got {budget}")
         if selector not in available_selectors():
@@ -182,7 +190,7 @@ class SessionRegistry:
                 session_id,
                 distribution,
                 channel,
-                evaluator_pool=self._group.acquire(),
+                evaluator_pool=self._acquire(),
             )
         except (BudgetError, SelectionError, CrowdFusionError) as error:
             raise ValidationFailedError(f"cannot create session: {error}") from None
@@ -253,7 +261,7 @@ class SessionRegistry:
                 session_id,
                 distribution,
                 channel,
-                evaluator_pool=self._group.acquire(),
+                evaluator_pool=self._acquire(),
             )
         except (BudgetError, SelectionError, CrowdFusionError) as error:
             raise ValidationFailedError(
@@ -348,11 +356,10 @@ class SessionRegistry:
         return [record.session_id for record in idle]
 
     def close(self) -> None:
-        """Flush snapshots, evict every session, shut the pools down."""
+        """Flush snapshots and evict every session (the pool's owner closes it)."""
         if self._store is not None:
             for record in self._records.values():
                 if record.dirty:
                     self.snapshot(record)
         self._records.clear()
         self._pool.close()
-        self._group.close()

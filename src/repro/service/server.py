@@ -6,7 +6,7 @@ addressable session resources on top of the persistent
 :class:`~repro.core.selection.session.RefinementSession` runtime:
 
 * ``create_session(distribution, channel, budget)`` registers a session and
-  attaches it to one of a small set of shared persistent worker pools;
+  attaches it to the service's one shared persistent worker pool;
 * ``post_answers(session_id, answers)`` folds a round of crowd answers into
   the posterior (the existing in-place Bayesian ``reweight``);
 * ``get_posterior(session_id)`` / ``select_next(session_id, batch)`` read
@@ -39,6 +39,7 @@ from repro.core.answers import AnswerSet
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
 from repro.core.runtime import RuntimeOptions
+from repro.core.selection.parallel import EvaluatorPool
 from repro.service.api import (
     BudgetExhaustedError,
     DeadlineExceededError,
@@ -54,7 +55,6 @@ from repro.service.api import (
     ValidationFailedError,
     decode_answers,
 )
-from repro.service.batching import EngineGroup
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import SessionRecord, SessionRegistry
 from repro.testing import faults
@@ -195,29 +195,26 @@ class _SessionWorker:
 
 
 class RefinementService:
-    """Async multi-tenant refinement sessions on shared persistent pools.
+    """Async multi-tenant refinement sessions on one shared persistent pool.
 
     Parameters
     ----------
     runtime:
         :class:`~repro.core.runtime.RuntimeOptions` for the shared scan
-        runtime.  When it carries workers, the service builds ``pools``
-        shared :class:`~repro.core.selection.parallel.EvaluatorPool`
-        instances and multiplexes every session onto them; without workers
-        all scans run serially on the executor threads.  ``recalibrate`` and
+        runtime.  When it carries workers, the service builds one shared
+        :class:`~repro.core.selection.parallel.EvaluatorPool` and multiplexes
+        every session onto it, so resident worker processes stay at
+        ``workers`` regardless of the session count; without workers all
+        scans run serially on the executor threads.  ``recalibrate`` and
         ``parallel_entities`` are rejected
         with :class:`~repro.service.api.ValidationFailedError`: the service
         runtime does not implement them, and silently ignoring them would
         hand a tenant different trajectories than the options promise.
-    pools:
-        Number of shared evaluator pools (ignored without workers).  Total
-        resident worker processes are ``pools × workers`` regardless of the
-        session count.
     max_pending:
         Per-session queue bound; the 429 threshold.
     executor_workers:
-        Threads for compute offload.  Defaults to ``pools + 4`` so distinct
-        tenants' scans and merges overlap without unbounded thread growth.
+        Threads for compute offload.  Defaults to 5 so distinct tenants'
+        scans and merges overlap without unbounded thread growth.
     state_dir:
         Directory for durable session snapshots.  With it set, every
         session's posterior/channel/budget state is snapshotted (debounced
@@ -239,7 +236,6 @@ class RefinementService:
         self,
         runtime: Optional[RuntimeOptions] = None,
         *,
-        pools: int = 1,
         max_pending: int = DEFAULT_MAX_PENDING,
         executor_workers: Optional[int] = None,
         latency_window: int = 1024,
@@ -262,12 +258,15 @@ class RefinementService:
             raise ValidationFailedError(
                 "RuntimeOptions.parallel_entities is experiment-level entity "
                 "fan-out and has no meaning for service sessions; configure "
-                "workers (and pools) instead"
+                "workers instead"
             )
-        policy = runtime.parallel_policy if runtime is not None else None
-        self._group = EngineGroup(policy, pools=pools)
+        self._evaluator_pool = (
+            EvaluatorPool(runtime)
+            if runtime is not None and runtime.workers is not None
+            else None
+        )
         self._registry = SessionRegistry(
-            self._group,
+            self._evaluator_pool,
             snapshot_dir=state_dir,
             max_sessions=max_sessions,
             idle_ttl_s=idle_ttl_s,
@@ -276,9 +275,7 @@ class RefinementService:
         self._metrics = ServiceMetrics(latency_window)
         self._max_pending = max_pending
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers
-            if executor_workers is not None
-            else pools + 4,
+            max_workers=executor_workers if executor_workers is not None else 5,
             thread_name_prefix="refinement",
         )
         self._workers: Dict[str, _SessionWorker] = {}
@@ -301,7 +298,7 @@ class RefinementService:
         await self.shutdown()
 
     async def shutdown(self) -> None:
-        """Drain every session, release the shared pools, stop the executor."""
+        """Drain every session, release the shared pool, stop the executor."""
         if self._closed:
             return
         self._closed = True
@@ -318,6 +315,8 @@ class RefinementService:
         # Registry close flushes every dirty session's snapshot first, so a
         # graceful shutdown is always restorable.
         self._registry.close()
+        if self._evaluator_pool is not None:
+            self._evaluator_pool.close()
         self._executor.shutdown(wait=True)
 
     # -- eviction housekeeping ---------------------------------------------------------
@@ -453,9 +452,19 @@ class RefinementService:
                 "max_sessions": self._registry.max_sessions,
                 "idle_ttl_s": self._registry.idle_ttl_s,
             }
+        pool = self._evaluator_pool
+        per_pool = [pool.metrics()] if pool is not None else []
         return self._metrics.snapshot(
-            pools=self._group.utilisation(),
-            recovery=self._group.recovery_counters(),
+            pools={
+                "pools": len(per_pool),
+                "workers_per_pool": pool.runtime.workers if pool is not None else 0,
+                "sessions_assigned": self._registry.sessions_assigned,
+                "per_pool": per_pool,
+            },
+            recovery={
+                name: sum(stats[name] for stats in per_pool)
+                for name in ("worker_crashes", "pool_rebuilds", "breaker_trips")
+            },
             durability=durability,
         )
 

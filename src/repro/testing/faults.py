@@ -279,33 +279,34 @@ class _FaultState:
     # one of these critical sections leaves the semaphore held by a dead
     # owner forever.  The harness must never wedge the runtime it exists to
     # test, so acquisition is bounded: on timeout we fall back to lock-free
-    # access (the owner is dead; nobody else is using the counter).
+    # access (the owner is dead; nobody else is using the counter).  The
+    # fallback must go through the raw ctypes object: the synchronized
+    # wrapper's ``.value`` takes the same lock again, with no timeout.
 
     _LOCK_TIMEOUT = 1.0
 
+    @contextlib.contextmanager
+    def _bounded(self, counter) -> Iterator[Any]:
+        """The counter's raw value, under its lock unless the owner is dead."""
+        lock = counter.get_lock()
+        locked = lock.acquire(timeout=self._LOCK_TIMEOUT)
+        try:
+            yield counter.get_obj()
+        finally:
+            if locked:
+                lock.release()
+
     def _bump_sequence(self, counter) -> int:
-        if counter.get_lock().acquire(timeout=self._LOCK_TIMEOUT):
-            try:
-                counter.value += 1
-                return counter.value
-            finally:
-                counter.get_lock().release()
-        counter.value += 1
-        return counter.value
+        with self._bounded(counter) as raw:
+            raw.value += 1
+            return raw.value
 
     def _consume_budget(self, counter) -> bool:
-        if counter.get_lock().acquire(timeout=self._LOCK_TIMEOUT):
-            try:
-                allowed = counter.value > 0
-                if allowed:
-                    counter.value -= 1
-                return allowed
-            finally:
-                counter.get_lock().release()
-        allowed = counter.value > 0
-        if allowed:
-            counter.value -= 1
-        return allowed
+        with self._bounded(counter) as raw:
+            allowed = raw.value > 0
+            if allowed:
+                raw.value -= 1
+            return allowed
 
     def _on_worker_dispatch(self, ctx: Mapping[str, Any]) -> Optional[str]:
         plan = self.plan

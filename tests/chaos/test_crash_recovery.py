@@ -19,7 +19,6 @@ from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
     EvaluatorPool,
     GreedySelector,
-    ParallelPolicy,
     RefinementSession,
 )
 from repro.testing import faults
@@ -34,7 +33,7 @@ from tests.core.selection.test_persistent_pool import (
 pytestmark = [pytest.mark.chaos, pytest.mark.parallel]
 
 #: Forces the pool for every scan with at least two candidates.
-POLICY = ParallelPolicy(workers=2, parallel_threshold=0)
+POLICY = RuntimeOptions(workers=2, parallel_threshold=0)
 
 #: The same pool, owned by the session it serves.
 RUNTIME = RuntimeOptions(workers=2, parallel_threshold=0)
@@ -186,7 +185,7 @@ def test_shared_pool_breaker_degrades_all_tenants_without_erroring():
         run_rounds(RefinementSession(prior, crowd), GreedySelector())
         for prior in priors
     ]
-    policy = ParallelPolicy(workers=2, parallel_threshold=0, max_rebuilds=1)
+    policy = RuntimeOptions(workers=2, parallel_threshold=0, max_rebuilds=1)
 
     with no_leaks():
         with faults.injected(

@@ -140,7 +140,7 @@ def test_service_scan_survives_worker_kill_with_identical_trajectory():
     rounds, k = 3, 2
 
     async def run_service(runtime):
-        async with RefinementService(runtime, pools=1) as service:
+        async with RefinementService(runtime) as service:
             created = await service.create_session(
                 prior, CrowdModel(0.8), budget=rounds * k
             )

@@ -18,7 +18,6 @@ from repro.core.crowd import CrowdModel
 from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
     GreedySelector,
-    ParallelPolicy,
     RefinementSession,
     SessionPool,
 )
@@ -36,7 +35,7 @@ from tests.core.selection.test_persistent_pool import (
 
 pytestmark = pytest.mark.parallel
 
-POLICY = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
+POLICY = RuntimeOptions(workers=2, parallel_threshold=FORCE_PARALLEL)
 
 
 def interleaved_rounds(sessions, rounds=3, k=3):

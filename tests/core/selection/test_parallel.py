@@ -21,7 +21,6 @@ from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
     EvaluatorPool,
     GreedySelector,
-    ParallelPolicy,
     QueryGreedySelector,
     RefinementSession,
     SessionPool,
@@ -32,10 +31,11 @@ from repro.core.selection import parallel
 from repro.core.selection.parallel import (
     DEFAULT_PARALLEL_THRESHOLD,
     WorkerSyncError,
+    _chunk_size,
     fork_available,
 )
 from repro.datasets.scale import ScaleCorpusConfig, generate_scale_distribution
-from repro.exceptions import SelectionError
+from repro.exceptions import CrowdFusionError, SelectionError
 
 
 @st.composite
@@ -91,35 +91,34 @@ def select_on_pool(dist, channel, selector, k, workers, threshold=FORCE_PARALLEL
         return session.select(selector, k)
 
 
-class TestParallelPolicy:
+class TestParallelGate:
     def test_validation(self):
+        with pytest.raises(CrowdFusionError):
+            RuntimeOptions(workers=0)
+        with pytest.raises(CrowdFusionError):
+            RuntimeOptions(parallel_threshold=-1)
         with pytest.raises(SelectionError):
-            ParallelPolicy(workers=0)
-        with pytest.raises(SelectionError):
-            ParallelPolicy(parallel_threshold=-1)
-        with pytest.raises(SelectionError):
-            ParallelPolicy(chunk_size=0)
+            EvaluatorPool(RuntimeOptions())
 
     def test_single_worker_never_parallelises(self):
-        policy = ParallelPolicy(workers=1, parallel_threshold=0)
-        assert not policy.should_parallelise(1000, 1 << 20)
+        pool = EvaluatorPool(RuntimeOptions(workers=1, parallel_threshold=0))
+        assert not pool.would_parallelise(1000, 1 << 20)
 
     def test_threshold_gates_on_scan_work(self):
-        policy = ParallelPolicy(workers=4, parallel_threshold=1 << 10)
+        pool = EvaluatorPool(RuntimeOptions(workers=4, parallel_threshold=1 << 10))
         if not fork_available():  # pragma: no cover - non-fork platforms
             pytest.skip("fork start method unavailable")
-        assert policy.should_parallelise(num_candidates=64, support_size=1 << 10)
-        assert not policy.should_parallelise(num_candidates=2, support_size=64)
+        assert pool.would_parallelise(num_candidates=64, support_size=1 << 10)
+        assert not pool.would_parallelise(num_candidates=2, support_size=64)
 
     def test_lone_candidate_stays_serial(self):
-        policy = ParallelPolicy(workers=4, parallel_threshold=0)
-        assert not policy.should_parallelise(num_candidates=1, support_size=1 << 20)
+        pool = EvaluatorPool(RuntimeOptions(workers=4, parallel_threshold=0))
+        assert not pool.would_parallelise(num_candidates=1, support_size=1 << 20)
 
     def test_chunk_size_resolution(self):
-        assert ParallelPolicy(workers=2, chunk_size=7).resolved_chunk_size(100) == 7
-        derived = ParallelPolicy(workers=2).resolved_chunk_size(100)
+        derived = _chunk_size(2, 100)
         assert 1 <= derived <= 100
-        assert ParallelPolicy(workers=8).resolved_chunk_size(3) >= 1
+        assert _chunk_size(8, 3) >= 1
 
     def test_default_threshold_spares_table5_workloads(self):
         # The Table-V hot path (tens of candidates, few-thousand-row support)
@@ -148,7 +147,7 @@ class TestAutoSerialThreshold:
     def test_evaluator_reports_serial_below_threshold(self):
         dist = dense_distribution(8, 64)
         engine = EntropyEngine(dist, CrowdModel(0.8))
-        with EvaluatorPool(ParallelPolicy(workers=4)) as pool:
+        with EvaluatorPool(RuntimeOptions(workers=4)) as pool:
             evaluator = pool.attach(engine)
             state = engine.initial_state()
             assert evaluator.evaluate(state, list(dist.fact_ids)) is None
@@ -215,7 +214,7 @@ class TestParallelEquivalence:
             reference_engine.extension_entropy(reference_state, fact_id)
             for fact_id in candidates
         ]
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
+        policy = RuntimeOptions(workers=2, parallel_threshold=FORCE_PARALLEL)
         with EvaluatorPool(policy) as pool:
             evaluator = pool.attach(engine)
             scored = evaluator.evaluate(state, candidates)
@@ -224,7 +223,7 @@ class TestParallelEquivalence:
         assert scored == expected
         assert evaluator.parallel_evaluations == len(candidates)
 
-    def test_session_selection_with_parallel_policy(self):
+    def test_session_selection_with_parallel_runtime(self):
         dist = dense_distribution(12, 512, seed=5)
         crowd = CrowdModel(0.8)
         serial_session = RefinementSession(dist, crowd)

@@ -26,7 +26,6 @@ from repro.core.selection import (
     EvaluatorPool,
     GreedySelector,
     LazyGreedySelector,
-    ParallelPolicy,
     PrunedPreprocessingGreedySelector,
     QueryGreedySelector,
     RefinementSession,
@@ -166,20 +165,19 @@ class TestLoadProbabilities:
 class TestSessionLifecycle:
     def test_serial_session_has_no_evaluator(self):
         session = RefinementSession(dense_distribution(5, 16), CrowdModel(0.8))
-        assert session.parallel_policy is None
         assert session.shared_evaluator() is None
         session.close()  # harmless on serial sessions
 
     def test_shared_evaluator_is_persistent_and_cached(self):
+        runtime = RuntimeOptions(workers=2)
         session = RefinementSession(
-            dense_distribution(5, 16), CrowdModel(0.8),
-            runtime=RuntimeOptions(workers=2),
+            dense_distribution(5, 16), CrowdModel(0.8), runtime=runtime,
         )
         evaluator = session.shared_evaluator()
         assert evaluator is not None
         # A session-owned pool is a pool with exactly one attachment.
         assert evaluator.pool.attached == 1
-        assert session.parallel_policy == evaluator.pool.policy
+        assert evaluator.pool.runtime is runtime
         assert session.shared_evaluator() is evaluator
         session.close()
         assert evaluator.pool.attached == 0
@@ -212,7 +210,7 @@ class TestSessionLifecycle:
             assert set(parallel._LIVE_RINGS) == before
 
     def test_runtime_workers_and_shared_pool_are_exclusive(self):
-        with EvaluatorPool(ParallelPolicy(workers=2)) as pool:
+        with EvaluatorPool(RuntimeOptions(workers=2)) as pool:
             with pytest.raises(SelectionError, match="evaluator_pool"):
                 RefinementSession(
                     dense_distribution(5, 16), CrowdModel(0.8),
@@ -220,7 +218,7 @@ class TestSessionLifecycle:
                 )
 
     def test_closing_an_attached_session_leaves_the_callers_pool_open(self):
-        with EvaluatorPool(ParallelPolicy(workers=2)) as pool:
+        with EvaluatorPool(RuntimeOptions(workers=2)) as pool:
             first = RefinementSession(
                 dense_distribution(5, 16), CrowdModel(0.8), evaluator_pool=pool
             )
@@ -243,7 +241,7 @@ class TestNoLeakedWorkers:
     def test_evaluator_context_reclaims_pool_when_worker_raises(self):
         dist = dense_distribution(8, 64)
         engine = EntropyEngine(dist, CrowdModel(0.8))
-        policy = ParallelPolicy(workers=2, parallel_threshold=FORCE_PARALLEL)
+        policy = RuntimeOptions(workers=2, parallel_threshold=FORCE_PARALLEL)
         with pytest.raises(Exception):
             with EvaluatorPool(policy) as pool:
                 # Unknown fact ids make the workers raise mid-scan; the

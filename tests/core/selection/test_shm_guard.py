@@ -22,7 +22,8 @@ from repro.core.crowd import CrowdModel
 from repro.core.distribution import JointDistribution
 from repro.core.selection import parallel
 from repro.core.selection.engine import EntropyEngine
-from repro.core.selection.parallel import EvaluatorPool, ParallelPolicy, _SnapshotRing
+from repro.core.runtime import RuntimeOptions
+from repro.core.selection.parallel import EvaluatorPool, _SnapshotRing
 
 SRC_DIR = str(Path(parallel.__file__).resolve().parents[3])
 
@@ -149,7 +150,7 @@ def test_pool_workers_restore_the_default_sigterm_disposition():
     worker outlived the graceful teardown until the watchdog SIGKILLed it.
     """
     prior = JointDistribution.independent({"f0": 0.6, "f1": 0.3, "f2": 0.5})
-    with EvaluatorPool(ParallelPolicy(workers=2)) as pool:
+    with EvaluatorPool(RuntimeOptions(workers=2)) as pool:
         pool.attach(EntropyEngine(prior, CrowdModel(0.8)))
         # The fork creates the engine's snapshot ring, installing the guard.
         workers = pool._ensure_pool()

@@ -1,9 +1,10 @@
-"""RuntimeOptions: validation, derived policies, and threading through layers.
+"""RuntimeOptions: validation, the pool that reads it, and threading through layers.
 
 One typed object carries every execution knob through every layer (engine,
-session, session pool, experiment config, CLI).  This suite pins the
-validation rules, the policies each layer derives, and that ``runtime=`` is
-the one way in: no layer warns, and the removed loose keywords are gone.
+session, session pool, evaluator pool, experiment config, CLI).  This suite
+pins the validation rules, what the evaluator pool reads from the options,
+and that ``runtime=`` is the one way in: no layer warns, and the removed
+loose keywords and second options object are gone.
 """
 
 import warnings
@@ -15,8 +16,9 @@ from repro.core.crowd import CrowdModel
 from repro.core.distribution import JointDistribution
 from repro.core.engine import CrowdFusionEngine
 from repro.core.runtime import RuntimeOptions
-from repro.core.selection import ParallelPolicy, RefinementSession, SessionPool, get_selector
-from repro.core.selection.parallel import DEFAULT_PARALLEL_THRESHOLD
+from repro.core.selection import EvaluatorPool, RefinementSession, SessionPool, get_selector
+from repro.core.selection import parallel
+from repro.core.selection.parallel import DEFAULT_PARALLEL_THRESHOLD, fork_available
 from repro.evaluation import ExperimentConfig
 from repro.exceptions import CrowdFusionError
 
@@ -36,7 +38,7 @@ def no_deprecations():
 class TestValidation:
     def test_defaults_are_valid_and_serial(self):
         options = RuntimeOptions()
-        assert options.parallel_policy is None
+        assert options.workers is None
         assert not options.parallel
 
     def test_nonpositive_workers_rejected(self):
@@ -56,15 +58,19 @@ class TestValidation:
             RuntimeOptions(workers=2, parallel_entities=2)
 
 
-class TestDerivedPolicies:
-    def test_policy_carries_workers_and_threshold(self):
+class TestPoolReadsOptions:
+    def test_pool_carries_workers_and_threshold(self):
         options = RuntimeOptions(workers=3, parallel_threshold=17)
-        policy = options.parallel_policy
-        assert policy == ParallelPolicy(workers=3, parallel_threshold=17)
+        with EvaluatorPool(options) as pool:
+            assert pool.runtime is options
+            assert pool.would_parallelise(17, 1) == fork_available()
+            assert not pool.would_parallelise(16, 1)
 
     def test_default_threshold_is_the_library_default(self):
-        policy = RuntimeOptions(workers=2).parallel_policy
-        assert policy.parallel_threshold == DEFAULT_PARALLEL_THRESHOLD
+        half = DEFAULT_PARALLEL_THRESHOLD // 2
+        with EvaluatorPool(RuntimeOptions(workers=2)) as pool:
+            assert pool.would_parallelise(2, half) == fork_available()
+            assert not pool.would_parallelise(2, half - 1)
 
     def test_parallel_flag_covers_both_axes(self):
         assert RuntimeOptions(workers=2).parallel
@@ -81,12 +87,12 @@ class TestSessionRuntime:
         )
         assert session.recalibrates
 
-    def test_workers_give_the_session_its_policy(self, no_deprecations):
+    def test_workers_give_the_session_its_pool(self, no_deprecations):
         runtime = RuntimeOptions(workers=2, parallel_threshold=9)
         with RefinementSession(
             small_distribution(), CrowdModel(0.8), runtime=runtime
         ) as session:
-            assert session.parallel_policy == runtime.parallel_policy
+            assert session.shared_evaluator().pool.runtime is runtime
 
     def test_pool_add_forwards_runtime(self, no_deprecations):
         with SessionPool() as pool:
@@ -119,8 +125,8 @@ class TestEngineRuntime:
 class TestExperimentConfigRuntime:
     def test_runtime_spelling_is_warning_free(self, no_deprecations):
         config = ExperimentConfig(runtime=RuntimeOptions(workers=2, parallel_threshold=5))
-        assert config.parallel_policy == ParallelPolicy(workers=2, parallel_threshold=5)
         assert config.runtime_options.workers == 2
+        assert config.runtime_options.parallel_threshold == 5
 
     def test_unset_runtime_is_serial(self):
         assert ExperimentConfig().runtime_options == RuntimeOptions()
@@ -167,5 +173,10 @@ class TestRemovedKeywords:
 
     def test_selectors_take_no_parallel_policy(self):
         with pytest.raises(TypeError):
-            get_selector("greedy").__class__(parallel=ParallelPolicy(workers=2))
+            get_selector("greedy").__class__(parallel=RuntimeOptions(workers=2))
         assert not hasattr(get_selector("greedy_lazy"), "parallel")
+
+    def test_runtime_options_is_the_only_options_object(self):
+        assert not hasattr(parallel, "ParallelPolicy")
+        assert not hasattr(RuntimeOptions(workers=2), "parallel_policy")
+        assert not hasattr(ExperimentConfig(), "parallel_policy")

@@ -10,7 +10,11 @@ in ``tests/chaos/test_cluster_recovery.py``.
 """
 
 import os
+import selectors
+import socket
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,10 +24,16 @@ from repro.evaluation.experiment import ExperimentConfig
 from repro.exceptions import OrchestrationError
 from repro.fusion import ModifiedCRH
 from repro.orchestration import ClusterConfig, run_cluster_experiment
-from repro.orchestration.cluster import worker_journal_paths
+from repro.orchestration import wire
+from repro.orchestration.cluster import (
+    LEASES_NAME,
+    _Conn,
+    _Coordinator,
+    worker_journal_paths,
+)
 from repro.orchestration.cluster_worker import run_shard_worker
-from repro.orchestration.journal import read_records
-from repro.orchestration.orchestrator import JOURNAL_NAME
+from repro.orchestration.journal import read_json, read_records
+from repro.orchestration.orchestrator import JOURNAL_NAME, _RunState
 from repro.testing import faults
 from repro.testing.faults import FaultPlan
 
@@ -312,6 +322,51 @@ class TestFencingAndDelivery:
             if record["type"] == "entity_done"
         ]
         assert all(record["worker"] == "right-sweep" for record in done)
+
+
+class TestExpiryFencing:
+    """The coordinator's expiry path, driven directly: no TTL is waited out."""
+
+    def test_expired_worker_gets_no_grant_until_it_heartbeats(self, tmp_path):
+        entities = [SimpleNamespace(entity=f"book-{index}") for index in range(3)]
+        cluster = cluster_config(tmp_path, run_dir=str(tmp_path), lease_entities=1)
+        coordinator = _Coordinator(entities, CONFIG, cluster)
+        ours, theirs = socket.socketpair()
+        ours.setblocking(False)
+        conn = _Conn(ours)
+        conn.worker = "zombie"
+        coordinator.selector.register(ours, selectors.EVENT_READ, conn)
+        try:
+            with _RunState(entities, CONFIG, str(tmp_path), 3) as state:
+                coordinator.state = state
+                coordinator._grant_leases(time.monotonic())
+                [lease] = coordinator.active.values()
+                lease.deadline = 0.0  # the zombie's heartbeats stopped
+                coordinator._step()
+                assert lease.lease_id not in coordinator.active
+                assert read_json(str(tmp_path / LEASES_NAME)) == {
+                    "epoch": coordinator.epoch
+                }
+
+                # Suspect: the fenced entity is pending again, but the
+                # connection that just missed its heartbeats gets no grant.
+                coordinator._grant_leases(time.monotonic())
+                assert coordinator.active == {}
+                assert state.attempts == {0: 1}
+
+                # A fresh heartbeat proves it is reading again.
+                theirs.sendall(
+                    wire.encode_message(
+                        wire.Heartbeat("zombie", lease.lease_id, lease.epoch)
+                    )
+                )
+                coordinator._step()
+                coordinator._grant_leases(time.monotonic())
+                [regrant] = coordinator.active.values()
+                assert regrant.conn is conn and regrant.start == 0
+        finally:
+            coordinator.close()
+            theirs.close()
 
 
 @pytest.mark.parallel

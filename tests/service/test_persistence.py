@@ -19,7 +19,6 @@ from repro.service.api import (
     UnknownSessionError,
     ValidationFailedError,
 )
-from repro.service.batching import EngineGroup
 from repro.service.persistence import SessionSnapshotStore
 from repro.service.registry import SessionRegistry
 
@@ -188,9 +187,9 @@ class TestEviction:
 
     def test_eviction_requires_state_dir(self):
         with pytest.raises(ValidationFailedError, match="snapshot_dir"):
-            SessionRegistry(EngineGroup(None), max_sessions=4)
+            SessionRegistry(max_sessions=4)
         with pytest.raises(ValidationFailedError, match="snapshot_dir"):
-            SessionRegistry(EngineGroup(None), idle_ttl_s=5.0)
+            SessionRegistry(idle_ttl_s=5.0)
 
 
 class TestSnapshotStore:

@@ -71,7 +71,7 @@ def test_four_tenants_one_pool_bit_identical_to_standalone():
     runtime = RuntimeOptions(workers=2, parallel_threshold=0)
 
     async def scenario():
-        async with RefinementService(runtime, pools=1) as service:
+        async with RefinementService(runtime) as service:
             sessions = []
             for tenant in range(TENANTS):
                 prior, channel = tenant_problem(tenant)

@@ -36,7 +36,7 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8642
-        assert args.pools == 1 and args.max_pending == 8
+        assert args.max_pending == 8
         assert args.workers is None
 
     def test_serve_invalid_workers_rejected_at_parse_time(self):

@@ -6,6 +6,9 @@ env-var spec parser, inertness without an installed plan, the per-fault
 budgets, and the directive strings the runtime interprets.
 """
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro.testing import faults
@@ -122,6 +125,41 @@ class TestBudgetsAndDirectives:
         with faults.injected(FaultPlan(fail_merge_at=1)) as state:
             assert faults.fire("worker_dispatch") is None
             assert state._worker_dispatches.value == 0
+
+
+class TestDeadLockOwner:
+    """A process killed inside a counter's critical section wedges nobody."""
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the shared counters are fork-inherited",
+    )
+    def test_counters_fall_back_once_the_lock_owner_is_dead(self, monkeypatch):
+        monkeypatch.setattr(faults._FaultState, "_LOCK_TIMEOUT", 0.05)
+        with faults.injected(FaultPlan(kill_worker_at_dispatch=5)) as state:
+            counter = state._worker_dispatches
+            # The owner takes the lock and exits without releasing it, like
+            # a worker SIGTERMed by a pool teardown mid-dispatch.
+            owner = multiprocessing.get_context("fork").Process(
+                target=counter.get_lock().acquire
+            )
+            owner.start()
+            owner.join(timeout=5.0)
+            assert owner.exitcode == 0
+            results = []
+            caller = threading.Thread(
+                target=lambda: results.append(
+                    (
+                        state._bump_sequence(counter),
+                        state._consume_budget(state._kills_left),
+                    )
+                ),
+                daemon=True,
+            )
+            caller.start()
+            caller.join(timeout=5.0)
+            assert not caller.is_alive(), "a dead lock owner wedged the harness"
+            assert results == [(1, True)]
 
 
 class TestNetworkInjectors:
