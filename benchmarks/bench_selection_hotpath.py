@@ -4,10 +4,9 @@ Times one greedy selection round — the workload behind Table V — on growing
 fact sets, comparing implementations of the same algorithm:
 
 * ``greedy_reference`` — the seed's ``O(n · k · 2^k · |O|)`` dict arithmetic,
-* ``greedy``           — the vectorized incremental engine,
-* ``greedy_lazy``      — the engine plus CELF lazy evaluation.
+* ``greedy``           — the vectorized incremental engine.
 
-All must select the *identical* task set; the engine paths must beat the
+Both must select the *identical* task set; the engine must beat the
 reference by at least the acceptance-floor factor on the largest scenario.
 
 Six follow-on suites ride in the same artifact:
@@ -118,7 +117,7 @@ MIN_ENTITY_SPEEDUP = 1.1
 _ARTIFACT_DESCRIPTION = (
     "Selection hot-path trajectory: greedy selection rounds on sparse joint "
     "distributions across engine generations (seed pure-Python, vectorized "
-    "incremental, CELF lazy, fork-parallel, batched multi-query). Keyed by "
+    "incremental, fork-parallel, batched multi-query). Keyed by "
     "scenario id; times are best-of-run wall seconds. Schema: see "
     "benchmarks/README.md."
 )
@@ -228,10 +227,8 @@ def test_selection_hotpath_speedup():
             "greedy_reference", distribution, crowd, runs=1
         )
         greedy_seconds, greedy = time_selector("greedy", distribution, crowd, runs=3)
-        lazy_seconds, lazy = time_selector("greedy_lazy", distribution, crowd, runs=3)
 
         assert greedy.task_ids == reference.task_ids
-        assert lazy.task_ids == reference.task_ids
         assert abs(greedy.objective - reference.objective) < 1e-9
 
         row = {
@@ -242,14 +239,10 @@ def test_selection_hotpath_speedup():
             "accuracy": ACCURACY,
             "reference_seconds": reference_seconds,
             "greedy_seconds": greedy_seconds,
-            "lazy_seconds": lazy_seconds,
             "speedup_greedy": reference_seconds / greedy_seconds,
-            "speedup_lazy": reference_seconds / lazy_seconds,
             "selected": list(greedy.task_ids),
             "identical_selections": True,
-            "lazy_skipped_evaluations": lazy.stats.skipped_evaluations,
             "greedy_candidate_evaluations": greedy.stats.candidate_evaluations,
-            "lazy_candidate_evaluations": lazy.stats.candidate_evaluations,
         }
         rows.append(row)
         entries[f"hotpath/n{num_facts}_k{K}_s{SUPPORT}"] = row
@@ -259,7 +252,6 @@ def test_selection_hotpath_speedup():
     largest = rows[-1]
     assert largest["num_facts"] == max(NUM_FACTS_GRID)
     assert largest["speedup_greedy"] >= MIN_SPEEDUP, largest
-    assert largest["speedup_lazy"] >= MIN_SPEEDUP, largest
 
 
 class _ForcedHeterogeneous(PerFactChannelModel):

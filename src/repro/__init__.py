@@ -64,7 +64,7 @@ from repro.service import (
     serve,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     # value types

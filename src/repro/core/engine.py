@@ -68,7 +68,7 @@ class RoundRecord:
 
     @property
     def selection_stats(self) -> SelectionStats:
-        """Full selector bookkeeping (evaluations, cache hits, lazy skips, …)."""
+        """Full selector bookkeeping (evaluations, cache hits, pruning, …)."""
         return self.selection.stats
 
     @property

@@ -8,16 +8,18 @@ Available selectors (Section III & IV of the paper):
 
 * :class:`BruteForceSelector` — the exact "OPT" baseline.
 * :class:`GreedySelector` — Algorithm 1, the ``(1 − 1/e)`` approximation.
-* :class:`LazyGreedySelector` — Algorithm 1 with CELF lazy evaluation of
-  submodular marginal gains.
 * :class:`PruningGreedySelector` — Algorithm 1 plus the Theorem-3 pruning rule.
-* :class:`PreprocessingGreedySelector` — Algorithm 1 plus the answer-joint
-  preprocessing and incremental partition refinement (Algorithm 2).
-* :class:`PrunedPreprocessingGreedySelector` — both accelerations.
 * :class:`RandomSelector` — the random baseline used in the evaluation.
+* :class:`FactEntropySelector` — the naive fact-entropy baseline (Section III-B).
 * :class:`QueryGreedySelector` — query-based CrowdFusion (Section IV).
 * :class:`ReferenceGreedySelector` — the seed's pure-Python greedy, kept for
   equivalence tests and old-vs-new benchmarks.
+
+Both greedy selectors run one scan loop on the shared :class:`EntropyEngine`,
+which carries the Section III-F preprocessing and Algorithm-2 partition
+refinement, so the preprocessing names (``greedy_pre``, ``greedy_prune_pre``,
+``Approx.&Pre.``, ``Approx.&Prune&Pre.``) are registry aliases of
+``greedy`` and ``greedy_prune``.
 
 Every selector scores against a :class:`RefinementSession`: the engine-backed
 ones through its vectorized incremental :class:`EntropyEngine` — with uniform
@@ -35,10 +37,8 @@ threshold on a fork-shared ``multiprocessing`` pool
 to the serial path.  The pool lives for the whole multi-round run:
 reweighted posteriors are shipped to the long-lived workers through a
 shared-memory snapshot ring (and channel swaps are replayed) instead of the
-pool being re-forked after every merge.  The CELF lazy selector shards its
-refresh loop in batch waves through the same evaluator, and sessions score
-many queries in one batch off shared cached bit columns
-(``RefinementSession.select_queries``).
+pool being re-forked after every merge.  Sessions also score many queries in
+one batch off shared cached bit columns (``RefinementSession.select_queries``).
 """
 
 from repro.core.selection.base import SelectionResult, SelectionStats, TaskSelector
@@ -46,12 +46,7 @@ from repro.core.selection.brute_force import BruteForceSelector
 from repro.core.selection.engine import EntropyEngine, SelectionState
 from repro.core.selection.fact_entropy import FactEntropySelector
 from repro.core.selection.greedy import GreedySelector
-from repro.core.selection.lazy import LazyGreedySelector
 from repro.core.selection.parallel import EvaluatorPool, ParallelSelectorMixin
-from repro.core.selection.preprocessing import (
-    PreprocessingGreedySelector,
-    PrunedPreprocessingGreedySelector,
-)
 from repro.core.selection.pruning import PruningGreedySelector
 from repro.core.selection.query_greedy import QueryGreedySelector
 from repro.core.selection.random_selector import RandomSelector
@@ -65,10 +60,7 @@ __all__ = [
     "EvaluatorPool",
     "FactEntropySelector",
     "GreedySelector",
-    "LazyGreedySelector",
     "ParallelSelectorMixin",
-    "PreprocessingGreedySelector",
-    "PrunedPreprocessingGreedySelector",
     "PruningGreedySelector",
     "QueryGreedySelector",
     "RandomSelector",

@@ -41,10 +41,6 @@ class SelectionStats:
         Number of times an evaluation was served from incremental state reuse
         (the engine's cached partition/channel tables) rather than recomputed
         from the raw support.
-    skipped_evaluations:
-        Number of candidate evaluations avoided entirely by lazy (CELF-style)
-        submodular bounds: the candidate's stale gain already proved it could
-        not win the iteration.
     workers:
         Worker processes forked for this selection (0 when every candidate
         scan ran serially — including parallel-configured selections that the
@@ -63,7 +59,6 @@ class SelectionStats:
     elapsed_seconds: float = 0.0
     iterations: int = 0
     cache_hits: int = 0
-    skipped_evaluations: int = 0
     workers: int = 0
     chunk_size: int = 0
     parallel_evaluations: int = 0

@@ -570,10 +570,6 @@ class EntropyEngine:
             tables=tuple(tables) if keep else None,
         )
 
-    def extension_entropy(self, state: SelectionState, fact_id: str) -> float:
-        """Answer-set entropy ``H(T ∪ {f})`` of extending the state by one task."""
-        return self.extension_entropies(state, (fact_id,)).task_entropies[0]
-
     def extend(
         self,
         state: SelectionState,

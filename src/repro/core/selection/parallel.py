@@ -648,7 +648,7 @@ class EvaluatorPool:
         """Register ``engine`` and return its evaluator facade.
 
         The facade satisfies the same evaluator interface session-aware
-        selectors consume (:meth:`PooledEvaluator.evaluate` and friends);
+        selectors consume (:meth:`PooledEvaluator.evaluate`);
         closing it detaches the engine without touching other tenants.
         """
         with self._lock:
@@ -659,7 +659,7 @@ class EvaluatorPool:
                 # The running workers never inherited this engine; re-fork
                 # lazily on the next dispatch that needs the pool.
                 self._stale = True
-        return PooledEvaluator(self, engine_id, engine)
+        return PooledEvaluator(self, engine_id)
 
     def detach(self, engine_id: int) -> None:
         """Release one engine's ring and registry slot (idempotent).
@@ -847,18 +847,17 @@ class PooledEvaluator:
     """One engine's handle on an :class:`EvaluatorPool`.
 
     The evaluator interface the session-aware greedy family consumes
-    (``evaluate`` / ``would_parallelise`` / ``refresh_batch_size`` plus the
-    ``workers`` / ``chunk_size`` / ``parallel_evaluations`` counters), handed
+    (``evaluate`` plus the ``workers`` / ``chunk_size`` /
+    ``parallel_evaluations`` counters), handed
     out by :meth:`RefinementSession.shared_evaluator
     <repro.core.selection.session.RefinementSession.shared_evaluator>`.
     Closing the facade detaches only this engine; the pool's supervision
     counters stay on :attr:`pool`.
     """
 
-    def __init__(self, pool: EvaluatorPool, engine_id: int, engine: EntropyEngine):
+    def __init__(self, pool: EvaluatorPool, engine_id: int):
         self._shared_pool = pool
         self._engine_id = engine_id
-        self._engine = engine
         self._closed = False
         self.workers = 0
         self.chunk_size = 0
@@ -878,21 +877,6 @@ class PooledEvaluator:
     def degraded(self) -> bool:
         """Whether the shared pool's breaker has pinned this tenant to serial."""
         return self._shared_pool.degraded
-
-    def would_parallelise(self, num_candidates: int) -> bool:
-        """Whether a scan of ``num_candidates`` would engage the shared pool."""
-        return self._shared_pool.would_parallelise(
-            num_candidates, self._engine.support_masks.shape[0]
-        )
-
-    def refresh_batch_size(self) -> int:
-        """Candidates a lazy (CELF) selector should refresh per wave.
-
-        Enough to hand every worker its chunk share, so a wave that clears
-        the parallel threshold saturates the pool; small enough that lazy
-        evaluation still skips the long tail of stale candidates.
-        """
-        return self._shared_pool.runtime.workers * _CHUNKS_PER_WORKER
 
     def evaluate(
         self, state: SelectionState, candidates: Sequence[str]

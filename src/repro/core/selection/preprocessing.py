@@ -22,10 +22,11 @@ Both accelerations now live in the shared
 replaces the ``O(4^k)`` dense noise kernel of the original implementation
 with per-bit binary-symmetric-channel convolutions (``O(k·2^k)``) and caches
 the selected set's convolved answer distribution between iterations.  Every
-greedy variant therefore runs at "preprocessed" speed; these selector classes
-are kept as named registry entries so the paper's Table V labels
-(``Approx.&Pre.``, ``Approx.&Prune&Pre.``) still resolve, and so older
-configurations keep working.
+greedy variant therefore runs at "preprocessed" speed, so the registry
+resolves the preprocessing names (``greedy_pre``, ``greedy_prune_pre`` and
+the paper's Table V labels ``Approx.&Pre.``, ``Approx.&Prune&Pre.``) as
+aliases of ``greedy`` and ``greedy_prune``.  The seed's un-preprocessed scan
+is ``greedy_reference``.
 
 :func:`_noise_kernel` below is the original dense ``2^k × 2^k`` channel
 matrix.  It is retained (and unit-tested) as the executable specification the
@@ -36,9 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.entropy import entropy_bits, popcount_array
-from repro.core.selection.greedy import GreedySelector
-from repro.core.selection.pruning import PruningGreedySelector
+from repro.core.entropy import popcount_array
 
 
 def _noise_kernel(num_tasks: int, accuracy: float) -> np.ndarray:
@@ -57,20 +56,3 @@ def _noise_kernel(num_tasks: int, accuracy: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         kernel = (accuracy ** (num_tasks - diff)) * (error ** diff)
     return kernel
-
-
-def _entropy_bits(probabilities: np.ndarray) -> float:
-    """Shannon entropy (base 2) of a probability vector, ignoring zeros."""
-    return entropy_bits(np.asarray(probabilities, dtype=np.float64))
-
-
-class PreprocessingGreedySelector(GreedySelector):
-    """Algorithm 1 with preprocessing and incremental partition refinement."""
-
-    name = "greedy_pre"
-
-
-class PrunedPreprocessingGreedySelector(PruningGreedySelector):
-    """Algorithm 1 with both the pruning rule and the preprocessing strategy."""
-
-    name = "greedy_prune_pre"

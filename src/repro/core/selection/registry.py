@@ -8,11 +8,6 @@ from repro.core.selection.base import TaskSelector
 from repro.core.selection.brute_force import BruteForceSelector
 from repro.core.selection.fact_entropy import FactEntropySelector
 from repro.core.selection.greedy import GreedySelector
-from repro.core.selection.lazy import LazyGreedySelector
-from repro.core.selection.preprocessing import (
-    PreprocessingGreedySelector,
-    PrunedPreprocessingGreedySelector,
-)
 from repro.core.selection.pruning import PruningGreedySelector
 from repro.core.selection.random_selector import RandomSelector
 from repro.core.selection.reference import ReferenceGreedySelector
@@ -22,28 +17,30 @@ _FACTORIES: Dict[str, Callable[..., TaskSelector]] = {
     BruteForceSelector.name: BruteForceSelector,
     FactEntropySelector.name: FactEntropySelector,
     GreedySelector.name: GreedySelector,
-    LazyGreedySelector.name: LazyGreedySelector,
     PruningGreedySelector.name: PruningGreedySelector,
-    PreprocessingGreedySelector.name: PreprocessingGreedySelector,
-    PrunedPreprocessingGreedySelector.name: PrunedPreprocessingGreedySelector,
     RandomSelector.name: RandomSelector,
     ReferenceGreedySelector.name: ReferenceGreedySelector,
 }
 
-#: Aliases matching the labels used in the paper's tables and figures.
+#: Aliases: the labels used in the paper's tables and figures, and the
+#: ``*_pre`` names of the Section III-F preprocessing variants.  Every greedy
+#: selector runs on the preprocessed engine, so those names resolve to the
+#: plain and pruned greedy selectors.
 _ALIASES: Dict[str, str] = {
     "OPT": BruteForceSelector.name,
     "Approx.": GreedySelector.name,
     "Approx.&Prune": PruningGreedySelector.name,
-    "Approx.&Pre.": PreprocessingGreedySelector.name,
-    "Approx.&Prune&Pre.": PrunedPreprocessingGreedySelector.name,
+    "Approx.&Pre.": GreedySelector.name,
+    "Approx.&Prune&Pre.": PruningGreedySelector.name,
     "Random": RandomSelector.name,
+    "greedy_pre": GreedySelector.name,
+    "greedy_prune_pre": PruningGreedySelector.name,
 }
 
 
 def available_selectors() -> List[str]:
-    """Return the canonical names of all registered selectors."""
-    return sorted(_FACTORIES)
+    """Return every name :func:`get_selector` accepts: canonical and aliases."""
+    return sorted([*_FACTORIES, *_ALIASES])
 
 
 def get_selector(name: str, **kwargs) -> TaskSelector:

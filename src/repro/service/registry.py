@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.crowd import ChannelModel
 from repro.core.distribution import JointDistribution
-from repro.core.selection import available_selectors, get_selector
+from repro.core.selection import get_selector
 from repro.core.selection.base import TaskSelector
 from repro.core.selection.parallel import EvaluatorPool
 from repro.core.selection.session import RefinementSession, SessionPool
@@ -179,11 +179,10 @@ class SessionRegistry:
         """Register a new session attached to the shared pool."""
         if budget <= 0:
             raise ValidationFailedError(f"budget must be positive, got {budget}")
-        if selector not in available_selectors():
-            raise ValidationFailedError(
-                f"unknown selector {selector!r}; expected one of "
-                f"{available_selectors()}"
-            )
+        try:
+            resolved = get_selector(selector)
+        except SelectionError as error:
+            raise ValidationFailedError(str(error)) from None
         session_id = f"s-{next(self._ids):06d}"
         try:
             session = self._pool.add(
@@ -197,7 +196,7 @@ class SessionRegistry:
         record = SessionRecord(
             session_id=session_id,
             session=session,
-            selector=get_selector(selector),
+            selector=resolved,
             selector_name=selector,
             budget=budget,
             dirty=self._store is not None,
@@ -257,6 +256,7 @@ class SessionRegistry:
 
         distribution, channel = decode_snapshot(payload)
         try:
+            selector = get_selector(payload["selector"])
             session = self._pool.add(
                 session_id,
                 distribution,
@@ -273,7 +273,7 @@ class SessionRegistry:
         record = SessionRecord(
             session_id=session_id,
             session=session,
-            selector=get_selector(payload["selector"]),
+            selector=selector,
             selector_name=payload["selector"],
             budget=int(payload["budget"]),
             spent=int(payload["spent"]),

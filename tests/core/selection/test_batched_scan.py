@@ -86,7 +86,8 @@ def assert_scan_matches_single_scans(engine, state, candidates):
         assert batched.task_entropies[index] == single.task_entropies[0]
         assert batched.joint_entropies[index] == single.joint_entropies[0]
         assert np.array_equal(batched.tables[index], single.tables[0])
-        assert engine.extension_entropy(state, fact_id) == single.task_entropies[0]
+        repeat = engine.extension_entropies(state, [fact_id])
+        assert repeat.task_entropies[0] == single.task_entropies[0]
     assert not np.isnan(batched.task_entropies).any()
     assert not np.isnan(batched.joint_entropies).any()
     return batched

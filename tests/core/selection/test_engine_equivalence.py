@@ -17,7 +17,7 @@ from repro.core.entropy import entropy_bits
 from repro.core.query import Query
 from repro.core.selection import (
     GreedySelector,
-    LazyGreedySelector,
+    PruningGreedySelector,
     QueryGreedySelector,
     ReferenceGreedySelector,
 )
@@ -93,7 +93,7 @@ class TestEntropyEquivalence:
         state = engine.initial_state()
         selected = []
         for fact_id in dist.fact_ids[:4]:
-            incremental = engine.extension_entropy(state, fact_id)
+            incremental = engine.extension_entropies(state, [fact_id]).task_entropies[0]
             one_shot = engine.task_entropy(selected + [fact_id])
             reference = reference_task_entropy(crowd, dist, selected + [fact_id])
             assert incremental == pytest.approx(one_shot, abs=1e-9)
@@ -115,20 +115,25 @@ class TestSelectorEquivalence:
 
     @given(coarse_distributions(), accuracies, st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None)
-    def test_lazy_greedy_matches_reference_greedy(self, dist, accuracy, k):
+    def test_pruning_greedy_matches_reference_greedy(self, dist, accuracy, k):
         crowd = CrowdModel(accuracy)
         reference = ReferenceGreedySelector().select(dist, crowd, k)
-        lazy = LazyGreedySelector().select(dist, crowd, k)
-        assert lazy.task_ids == reference.task_ids
-        assert lazy.objective == pytest.approx(reference.objective, abs=1e-9)
+        pruned = PruningGreedySelector().select(dist, crowd, k)
+        assert pruned.task_ids == reference.task_ids
+        assert pruned.objective == pytest.approx(reference.objective, abs=1e-9)
 
     @given(coarse_distributions(), accuracies, st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
-    def test_lazy_never_evaluates_more_than_plain(self, dist, accuracy, k):
+    def test_pruning_accounts_for_every_plain_evaluation(self, dist, accuracy, k):
+        # Every candidate plain greedy scores is either scored or pruned.
         crowd = CrowdModel(accuracy)
         plain = GreedySelector().select(dist, crowd, k)
-        lazy = LazyGreedySelector().select(dist, crowd, k)
-        assert lazy.stats.candidate_evaluations <= plain.stats.candidate_evaluations
+        pruned = PruningGreedySelector().select(dist, crowd, k)
+        assert pruned.stats.candidate_evaluations <= plain.stats.candidate_evaluations
+        assert (
+            pruned.stats.candidate_evaluations + pruned.stats.pruned_candidates
+            == plain.stats.candidate_evaluations
+        )
 
 
 def _pure_python_joint_entropy(crowd, distribution, interest_ids, task_ids):
@@ -201,7 +206,7 @@ class TestEngineInternals:
         dist = JointDistribution.independent({"a": 0.3, "b": 0.6})
         engine = EntropyEngine(dist, CrowdModel(0.8))
         state = engine.initial_state()
-        engine.extension_entropy(state, "a")
+        engine.extension_entropies(state, ["a"])
         engine.task_entropy(["a", "b"])
         assert engine.evaluations == 2
 

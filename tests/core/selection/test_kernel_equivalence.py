@@ -30,7 +30,7 @@ from repro.core.selection.greedy import run_greedy_on_engine
 from repro.datasets.scale import ScaleCorpusConfig, generate_scale_distribution
 
 ACCURACY = 0.82
-SELECTORS = ("greedy", "greedy_lazy", "greedy_prune_pre")
+SELECTORS = ("greedy", "greedy_prune", "greedy_prune_pre")
 
 
 def sparse_distribution(num_facts, support, seed):
@@ -164,22 +164,6 @@ class TestPersistentPoolEquivalence:
         serial_sets = run(RuntimeOptions())
         pooled_sets = run(runtime)
         assert pooled_sets == serial_sets
-
-    def test_persistent_pool_lazy_matches_serial(self):
-        # CELF refreshes its stale bounds through the pool when one is
-        # attached, and through the engine's batched scan when not.
-        distribution = sparse_distribution(16, 2048, 13)
-        crowd = heterogeneous_channel(16, 14)
-        runtime = RuntimeOptions(workers=2, parallel_threshold=0)
-
-        def run(options):
-            with RefinementSession(distribution, crowd, runtime=options) as session:
-                return get_selector("greedy_lazy").select_with_session(session, 3)
-
-        serial = run(RuntimeOptions())
-        pooled = run(runtime)
-        assert pooled.task_ids == serial.task_ids
-        assert abs(pooled.objective - serial.objective) <= 1e-9
 
     def test_persistent_pool_one_candidate_sub_batches_match_default(self):
         # Forked workers inherit the shrunken cap, so each chunk worker

@@ -211,7 +211,9 @@ class TestParallelEquivalence:
         reference_engine = EntropyEngine(dist, crowd)
         reference_state = reference_engine.initial_state()
         expected = [
-            reference_engine.extension_entropy(reference_state, fact_id)
+            reference_engine.extension_entropies(
+                reference_state, [fact_id]
+            ).task_entropies[0]
             for fact_id in candidates
         ]
         policy = RuntimeOptions(workers=2, parallel_threshold=FORCE_PARALLEL)

@@ -5,7 +5,7 @@ with ``RuntimeOptions(workers=N)``) survives every ``merge`` (posteriors
 travel through the shared-memory snapshot ring, channel swaps are replayed
 from the dispatch header), and every selection it serves must be bit-for-bit
 what the serial session path selects — same task ids, objectives within
-1e-9 — across worker counts, channel models, the lazy batch-refresh variant,
+1e-9 — across worker counts, channel models, the pruning variant,
 re-calibration, and batched multi-query scoring.  The lifecycle half: worker
 processes must never outlive the pool's owner, even when a selector raises
 mid-scan.
@@ -25,8 +25,7 @@ from repro.core.runtime import RuntimeOptions
 from repro.core.selection import (
     EvaluatorPool,
     GreedySelector,
-    LazyGreedySelector,
-    PrunedPreprocessingGreedySelector,
+    PruningGreedySelector,
     QueryGreedySelector,
     RefinementSession,
     SessionPool,
@@ -329,12 +328,40 @@ class TestPersistentPoolEquivalence:
     def test_multi_round_pruning_variant(self):
         dist = dense_distribution(11, 256, seed=5)
         crowd = CrowdModel(0.75)
-        serial = run_rounds(
-            RefinementSession(dist, crowd), PrunedPreprocessingGreedySelector()
-        )
+        serial = run_rounds(RefinementSession(dist, crowd), PruningGreedySelector())
         with RefinementSession(dist, crowd, runtime=POOLED) as session:
-            persistent = run_rounds(session, PrunedPreprocessingGreedySelector())
+            persistent = run_rounds(session, PruningGreedySelector())
         assert_histories_match(serial, persistent)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_single_pruned_selection_matches_serial(self, workers):
+        dist = dense_distribution(12, 512, seed=8)
+        crowd = CrowdModel(0.8)
+        serial = PruningGreedySelector().select(dist, crowd, 5)
+        runtime = RuntimeOptions(workers=workers, parallel_threshold=FORCE_PARALLEL)
+        with RefinementSession(dist, crowd, runtime=runtime) as session:
+            pooled = session.select(PruningGreedySelector(), 5)
+        assert pooled.task_ids == serial.task_ids
+        assert abs(pooled.objective - serial.objective) < 1e-9
+        assert pooled.stats.parallel_evaluations > 0
+        assert pooled.stats.candidate_evaluations == serial.stats.candidate_evaluations
+        assert pooled.stats.pruned_candidates == serial.stats.pruned_candidates
+
+    def test_below_threshold_pool_leaves_pruning_stats_unchanged(self):
+        """With the pool elected off, a pooled session's scan is the serial one."""
+        dist = dense_distribution(10, 128, seed=11)
+        crowd = CrowdModel(0.8)
+        serial = PruningGreedySelector().select(dist, crowd, 4)
+        # Default threshold: every scan stays serial.
+        with RefinementSession(dist, crowd, runtime=RuntimeOptions(workers=4)) as session:
+            guarded = session.select(PruningGreedySelector(), 4)
+        assert guarded.task_ids == serial.task_ids
+        assert guarded.objective == serial.objective
+        assert guarded.stats.workers == 0
+        assert guarded.stats.parallel_evaluations == 0
+        assert guarded.stats.candidate_evaluations == serial.stats.candidate_evaluations
+        assert guarded.stats.pruned_candidates == serial.stats.pruned_candidates
+        assert guarded.stats.pruned_facts == serial.stats.pruned_facts
 
     def test_recalibrating_session_matches_fresh_serial(self):
         """set_channel swaps must replay into the already-forked workers."""
@@ -368,59 +395,6 @@ class TestPersistentPoolEquivalence:
         ]
         assert persistent.final_utility == pytest.approx(serial.final_utility, abs=1e-9)
         assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parallel
-class TestParallelLazyGreedy:
-    """Batch-refresh CELF: same selections as the sequential heap."""
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_single_selection_matches_sequential_heap(self, workers):
-        dist = dense_distribution(12, 512, seed=8)
-        crowd = CrowdModel(0.8)
-        serial = LazyGreedySelector().select(dist, crowd, 5)
-        runtime = RuntimeOptions(workers=workers, parallel_threshold=FORCE_PARALLEL)
-        with RefinementSession(dist, crowd, runtime=runtime) as session:
-            parallel = session.select(LazyGreedySelector(), 5)
-        assert parallel.task_ids == serial.task_ids
-        assert abs(parallel.objective - serial.objective) < 1e-9
-        assert parallel.stats.parallel_evaluations > 0
-        # Waves may refresh a few extra stale candidates, never fewer.
-        assert parallel.stats.candidate_evaluations >= serial.stats.candidate_evaluations
-
-    def test_lazy_matches_plain_greedy_under_waves(self):
-        dist = dense_distribution(11, 256, seed=9)
-        crowd = CrowdModel(0.8)
-        plain = GreedySelector().select(dist, crowd, 4)
-        with RefinementSession(dist, crowd, runtime=POOLED) as session:
-            waves = session.select(LazyGreedySelector(), 4)
-        assert waves.task_ids == plain.task_ids
-        assert abs(waves.objective - plain.objective) < 1e-9
-
-    def test_multi_round_lazy_on_persistent_pool(self):
-        dist = dense_distribution(12, 512, seed=10)
-        channel = heterogeneous_channel(dist.fact_ids)
-        serial = run_rounds(RefinementSession(dist, channel), LazyGreedySelector())
-        with RefinementSession(dist, channel, runtime=POOLED) as session:
-            persistent = run_rounds(session, LazyGreedySelector())
-        assert_histories_match(serial, persistent)
-
-    def test_below_threshold_waves_degenerate_to_sequential_stats(self):
-        """With the pool elected off, the wave loop must not change *anything*:
-        below the threshold waves cap at one pop, so even the lazy skip
-        counts match the sequential heap exactly (CELF savings preserved)."""
-        dist = dense_distribution(10, 128, seed=11)
-        crowd = CrowdModel(0.8)
-        serial = LazyGreedySelector().select(dist, crowd, 4)
-        # Default threshold: every wave stays serial.
-        with RefinementSession(dist, crowd, runtime=RuntimeOptions(workers=4)) as session:
-            guarded = session.select(LazyGreedySelector(), 4)
-        assert guarded.task_ids == serial.task_ids
-        assert guarded.objective == serial.objective
-        assert guarded.stats.workers == 0
-        assert guarded.stats.parallel_evaluations == 0
-        assert guarded.stats.candidate_evaluations == serial.stats.candidate_evaluations
-        assert guarded.stats.skipped_evaluations == serial.stats.skipped_evaluations
 
 
 @pytest.mark.parallel

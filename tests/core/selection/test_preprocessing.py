@@ -1,16 +1,18 @@
-"""Unit tests for the preprocessed (accelerated) greedy selectors."""
+"""Unit tests for the preprocessing names (``greedy_pre``, ``greedy_prune_pre``).
+
+Both are registry aliases of the engine-backed greedy selectors, which carry
+the Section III-F preprocessing; the dense noise kernel is the executable
+specification of the engine's factorised channel.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.crowd import CrowdModel
 from repro.core.distribution import JointDistribution
-from repro.core.selection import (
-    GreedySelector,
-    PreprocessingGreedySelector,
-    PrunedPreprocessingGreedySelector,
-)
-from repro.core.selection.preprocessing import _entropy_bits, _noise_kernel
+from repro.core.entropy import entropy_bits
+from repro.core.selection import GreedySelector, get_selector
+from repro.core.selection.preprocessing import _noise_kernel
 from repro.datasets.running_example import running_example_distribution
 
 
@@ -44,8 +46,8 @@ class TestNoiseKernel:
 
     def test_entropy_bits_matches_manual(self):
         probs = np.array([0.5, 0.5, 0.0])
-        assert _entropy_bits(probs) == pytest.approx(1.0)
-        assert _entropy_bits(np.array([1.0])) == pytest.approx(0.0)
+        assert entropy_bits(probs) == pytest.approx(1.0)
+        assert entropy_bits(np.array([1.0])) == pytest.approx(0.0)
 
 
 class TestEquivalenceWithPlainGreedy:
@@ -53,8 +55,8 @@ class TestEquivalenceWithPlainGreedy:
         dist = running_example_distribution()
         for k in range(1, 5):
             plain = GreedySelector().select(dist, crowd, k)
-            fast = PreprocessingGreedySelector().select(dist, crowd, k)
-            both = PrunedPreprocessingGreedySelector().select(dist, crowd, k)
+            fast = get_selector("greedy_pre").select(dist, crowd, k)
+            both = get_selector("greedy_prune_pre").select(dist, crowd, k)
             assert fast.task_ids == plain.task_ids
             assert both.task_ids == plain.task_ids
             assert fast.objective == pytest.approx(plain.objective, abs=1e-9)
@@ -65,7 +67,7 @@ class TestEquivalenceWithPlainGreedy:
         dist = random_sparse_distribution(num_facts=7, support=40, seed=seed)
         k = 3
         plain = GreedySelector().select(dist, crowd, k)
-        fast = PreprocessingGreedySelector().select(dist, crowd, k)
+        fast = get_selector("greedy_pre").select(dist, crowd, k)
         assert fast.task_ids == plain.task_ids
         assert fast.objective == pytest.approx(plain.objective, abs=1e-9)
 
@@ -74,7 +76,7 @@ class TestEquivalenceWithPlainGreedy:
         dist = random_sparse_distribution(num_facts=6, support=30, seed=11)
         crowd = CrowdModel(accuracy)
         plain = GreedySelector().select(dist, crowd, 3)
-        fast = PrunedPreprocessingGreedySelector().select(dist, crowd, 3)
+        fast = get_selector("greedy_prune_pre").select(dist, crowd, 3)
         assert fast.task_ids == plain.task_ids
         assert fast.objective == pytest.approx(plain.objective, abs=1e-9)
 
@@ -82,7 +84,7 @@ class TestEquivalenceWithPlainGreedy:
 class TestAcceleratedBehaviour:
     def test_early_stop_on_certain_facts(self, crowd):
         dist = JointDistribution.independent({"a": 1.0, "b": 0.5, "c": 1.0})
-        result = PreprocessingGreedySelector().select(dist, crowd, 3)
+        result = get_selector("greedy_pre").select(dist, crowd, 3)
         assert result.task_ids == ("b",)
 
     def test_pruned_variant_marks_uncompetitive_facts(self, crowd):
@@ -92,12 +94,12 @@ class TestAcceleratedBehaviour:
         marginals = {"f0": 0.5, "f1": 0.5}
         marginals.update({f"f{i}": 0.80 + 0.02 * i for i in range(2, 10)})
         dist = JointDistribution.independent(marginals)
-        result = PrunedPreprocessingGreedySelector().select(dist, crowd, 3)
+        result = get_selector("greedy_prune_pre").select(dist, crowd, 3)
         assert result.stats.pruned_facts > 0
 
     def test_objective_matches_direct_entropy(self, crowd):
         dist = random_sparse_distribution(num_facts=6, support=25, seed=3)
-        result = PreprocessingGreedySelector().select(dist, crowd, 3)
+        result = get_selector("greedy_pre").select(dist, crowd, 3)
         assert result.objective == pytest.approx(
             crowd.task_entropy(dist, result.task_ids), abs=1e-9
         )
@@ -109,6 +111,6 @@ class TestAcceleratedBehaviour:
 
         dist = random_sparse_distribution(num_facts=14, support=2000, seed=9)
         reference = ReferenceGreedySelector().select(dist, crowd, 4)
-        fast = PrunedPreprocessingGreedySelector().select(dist, crowd, 4)
+        fast = get_selector("greedy_prune_pre").select(dist, crowd, 4)
         assert fast.task_ids == reference.task_ids
         assert fast.stats.elapsed_seconds < reference.stats.elapsed_seconds

@@ -1,13 +1,13 @@
 """Unit tests for the random baseline and the selector registry."""
 
+import numpy as np
 import pytest
 
 from repro.core.crowd import CrowdModel
+from repro.core.distribution import JointDistribution
 from repro.core.selection import (
     BruteForceSelector,
     GreedySelector,
-    PreprocessingGreedySelector,
-    PrunedPreprocessingGreedySelector,
     PruningGreedySelector,
     RandomSelector,
     available_selectors,
@@ -65,17 +65,32 @@ class TestRandomSelector:
 
 class TestRegistry:
     def test_all_canonical_names_listed(self):
-        names = available_selectors()
-        assert set(names) == {
+        names = set(available_selectors())
+        assert {get_selector(name).name for name in names} == {
             "opt",
             "greedy",
-            "greedy_lazy",
             "greedy_prune",
-            "greedy_pre",
-            "greedy_prune_pre",
             "greedy_reference",
             "random",
             "fact_entropy",
+        }
+
+    def test_every_accepted_name_listed(self):
+        assert set(available_selectors()) == {
+            "opt",
+            "greedy",
+            "greedy_prune",
+            "greedy_reference",
+            "random",
+            "fact_entropy",
+            "greedy_pre",
+            "greedy_prune_pre",
+            "OPT",
+            "Approx.",
+            "Approx.&Prune",
+            "Approx.&Pre.",
+            "Approx.&Prune&Pre.",
+            "Random",
         }
 
     @pytest.mark.parametrize(
@@ -84,8 +99,8 @@ class TestRegistry:
             ("opt", BruteForceSelector),
             ("greedy", GreedySelector),
             ("greedy_prune", PruningGreedySelector),
-            ("greedy_pre", PreprocessingGreedySelector),
-            ("greedy_prune_pre", PrunedPreprocessingGreedySelector),
+            ("greedy_pre", GreedySelector),
+            ("greedy_prune_pre", PruningGreedySelector),
             ("random", RandomSelector),
         ],
     )
@@ -98,17 +113,40 @@ class TestRegistry:
             ("OPT", BruteForceSelector),
             ("Approx.", GreedySelector),
             ("Approx.&Prune", PruningGreedySelector),
-            ("Approx.&Pre.", PreprocessingGreedySelector),
-            ("Approx.&Prune&Pre.", PrunedPreprocessingGreedySelector),
+            ("Approx.&Pre.", GreedySelector),
+            ("Approx.&Prune&Pre.", PruningGreedySelector),
             ("Random", RandomSelector),
         ],
     )
     def test_paper_labels_resolve(self, label, cls):
         assert isinstance(get_selector(label), cls)
 
+    @pytest.mark.parametrize(
+        "alias, canonical",
+        [("greedy_pre", "greedy"), ("greedy_prune_pre", "greedy_prune")],
+    )
+    def test_preprocessing_aliases_select_like_canonical(self, alias, canonical, crowd):
+        rng = np.random.default_rng(5)
+        masks = rng.choice(1 << 8, size=60, replace=False)
+        dist = JointDistribution(
+            tuple(f"f{i}" for i in range(8)),
+            dict(zip((int(m) for m in masks), rng.uniform(0.05, 1.0, size=60))),
+        )
+        via_alias = get_selector(alias)
+        assert type(via_alias) is type(get_selector(canonical))
+        for k in (1, 3):
+            aliased = via_alias.select(dist, crowd, k)
+            plain = get_selector(canonical).select(dist, crowd, k)
+            assert aliased.task_ids == plain.task_ids
+            assert aliased.objective == plain.objective
+
     def test_unknown_name_raises(self):
         with pytest.raises(SelectionError):
             get_selector("simulated_annealing")
+
+    def test_deleted_lazy_selector_raises(self):
+        with pytest.raises(SelectionError):
+            get_selector("greedy_lazy")
 
     def test_kwargs_forwarded(self):
         selector = get_selector("random", seed=7)

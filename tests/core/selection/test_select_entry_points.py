@@ -35,7 +35,7 @@ def make_selector(name):
         return QueryGreedySelector(Query.of(["f1", "f4"]))
     # The random baseline draws from its own seeded generator, so both sides
     # get an identically seeded instance.
-    kwargs = {"seed": 7} if name == "random" else {}
+    kwargs = {"seed": 7} if name.lower() == "random" else {}
     return get_selector(name, **kwargs)
 
 

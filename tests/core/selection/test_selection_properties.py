@@ -18,8 +18,8 @@ from repro.core.distribution import JointDistribution
 from repro.core.selection import (
     BruteForceSelector,
     GreedySelector,
-    PrunedPreprocessingGreedySelector,
     PruningGreedySelector,
+    get_selector,
 )
 
 
@@ -87,7 +87,7 @@ class TestSelectorEquivalence:
         crowd = CrowdModel(accuracy)
         plain = GreedySelector().select(dist, crowd, k)
         pruned = PruningGreedySelector().select(dist, crowd, k)
-        fast = PrunedPreprocessingGreedySelector().select(dist, crowd, k)
+        fast = get_selector("greedy_prune_pre").select(dist, crowd, k)
         assert pruned.task_ids == plain.task_ids
         assert fast.task_ids == plain.task_ids
         assert pruned.objective == pytest.approx(plain.objective, abs=1e-9)

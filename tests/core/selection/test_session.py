@@ -21,7 +21,6 @@ from repro.core.query import Query
 from repro.core.selection import (
     EntropyEngine,
     GreedySelector,
-    LazyGreedySelector,
     PruningGreedySelector,
     QueryGreedySelector,
     RandomSelector,
@@ -91,7 +90,7 @@ class TestSessionEquivalence:
         coarse_distributions(),
         accuracies,
         st.integers(min_value=1, max_value=3),
-        st.sampled_from(["greedy", "greedy_lazy", "greedy_prune_pre"]),
+        st.sampled_from(["greedy", "greedy_prune", "greedy_prune_pre"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_session_rounds_match_fresh_engine_rounds(self, dist, accuracy, k, name):

@@ -256,14 +256,12 @@ class TestWideFactSets:
         from repro.core.answers import AnswerSet
         from repro.core.crowd import CrowdModel
         from repro.core.merging import merge_answers
-        from repro.core.selection import GreedySelector, LazyGreedySelector
+        from repro.core.selection import GreedySelector
 
         dist = self.wide_distribution()
         crowd = CrowdModel(0.8)
         plain = GreedySelector().select(dist, crowd, 2)
-        lazy = LazyGreedySelector().select(dist, crowd, 2)
         assert len(plain.task_ids) == 2
-        assert lazy.task_ids == plain.task_ids
         answers = AnswerSet.from_mapping({plain.task_ids[0]: True})
         posterior = merge_answers(dist, answers, crowd)
         assert posterior.support_size <= dist.support_size

@@ -174,7 +174,6 @@ class TestRemovedKeywords:
     def test_selectors_take_no_parallel_policy(self):
         with pytest.raises(TypeError):
             get_selector("greedy").__class__(parallel=RuntimeOptions(workers=2))
-        assert not hasattr(get_selector("greedy_lazy"), "parallel")
 
     def test_runtime_options_is_the_only_options_object(self):
         assert not hasattr(parallel, "ParallelPolicy")

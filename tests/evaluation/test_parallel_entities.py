@@ -110,7 +110,7 @@ class TestFanOutEquivalence:
 
     def test_calibrated_channels_and_difficulties(self, problems):
         config = ExperimentConfig(
-            selector="greedy_lazy", k=2, budget_per_entity=6,
+            selector="greedy_prune", k=2, budget_per_entity=6,
             worker_accuracy=0.85, seed=7, crowd_model="calibrated",
             use_difficulties=True,
         )
@@ -183,7 +183,7 @@ class TestPersistentPoolExperiment:
         run forks one pool, attaches all three entities to it, and never has
         more than two pool workers alive."""
         config = ExperimentConfig(
-            selector="greedy_lazy", k=2, budget_per_entity=6, seed=13,
+            selector="greedy_prune", k=2, budget_per_entity=6, seed=13,
         )
         serial = run_quality_experiment(problems[:3], config)
 

@@ -10,6 +10,7 @@ nothing resurrects.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -93,6 +94,21 @@ class TestRestartRestore:
         closed = run(after())
         assert closed.rounds_merged == 1
         assert closed.budget_spent == 1
+
+    def test_snapshot_naming_an_unknown_selector_fails_validation(self, tmp_path):
+        # A snapshot written by a build that still had the selector: revival
+        # is rejected up front, before a session is attached.
+        registry = SessionRegistry(snapshot_dir=str(tmp_path))
+        record = registry.create(make_prior(), CrowdModel(0.8), budget=4)
+        path = tmp_path / f"{record.session_id}.json"
+        payload = json.loads(path.read_text())
+        payload["selector"] = "greedy_lazy"
+        path.write_text(json.dumps(payload))
+
+        restarted = SessionRegistry(snapshot_dir=str(tmp_path))
+        with pytest.raises(ValidationFailedError, match="greedy_lazy"):
+            restarted.get(record.session_id)
+        assert len(restarted._pool) == 0
 
     def test_closed_sessions_do_not_resurrect(self, tmp_path):
         state_dir = str(tmp_path / "state")

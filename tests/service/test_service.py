@@ -74,6 +74,20 @@ class TestRoundTrip:
 
         run(scenario())
 
+    def test_paper_label_selector_selects_like_its_canonical_name(self):
+        async def scenario():
+            async with RefinementService() as service:
+                picks = []
+                for selector in ("Approx.&Prune&Pre.", "greedy_prune"):
+                    created = await service.create_session(
+                        make_prior(), CrowdModel(0.8), budget=6, selector=selector
+                    )
+                    reply = await service.select_next(created.session_id, batch=2)
+                    picks.append(reply.task_ids)
+                assert picks[0] == picks[1] and len(picks[0]) == 2
+
+        run(scenario())
+
     def test_answers_accept_answer_sets_and_mappings(self):
         async def scenario():
             async with RefinementService() as service:

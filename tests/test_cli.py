@@ -20,6 +20,11 @@ class TestParser:
         assert args.k == 2
         assert args.allocation == "fixed"
 
+    @pytest.mark.parametrize("name", ["OPT", "Approx.&Prune&Pre."])
+    def test_aliased_selector_names_accepted(self, name):
+        args = build_parser().parse_args(["experiment", "--selector", name])
+        assert args.selector == name
+
     def test_unknown_selector_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "--selector", "magic"])

@@ -6,7 +6,7 @@ from repro import core, correlation, crowdsim, datasets, evaluation, fusion
 
 class TestTopLevelExports:
     def test_version_string(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -54,4 +54,6 @@ class TestSubpackageExports:
             "Approx.&Pre.",
             "Approx.&Prune&Pre.",
             "Random",
+            "greedy_pre",
+            "greedy_prune_pre",
         }
