@@ -47,7 +47,7 @@ import multiprocessing
 SEED = 0
 WORKERS = 2
 #: The leased TCP sweep may cost at most this factor over the single-host
-#: durable orchestrator (same fsync'd journals; the delta is the socket
+#: durable orchestrator (same group-committed journals; the delta is the socket
 #: round-trips, heartbeat traffic and lease bookkeeping).
 MAX_LEASE_OVERHEAD = 1.15
 

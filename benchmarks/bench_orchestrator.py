@@ -3,8 +3,9 @@
 Two scenarios, recorded into the shared ``BENCH_selection.json`` artifact:
 
 * ``orchestration/checkpoint_overhead_*`` — the same sweep through the
-  in-memory entity fan-out (``parallel_entities=2``, PR 5) and through the
-  durable orchestrator (2 shards, fsync'd journal + atomic checkpoints).
+  in-memory entity fan-out (``parallel_entities=2``) and through the
+  durable orchestrator (2 shards, journal and checkpoint group-committed
+  once per loop turn).
   The curves must be identical; the durability tax on wall-clock must stay
   within ~10%% of the fan-out.
 * ``orchestration/resume_latency_*`` — resuming an already-complete run
@@ -34,7 +35,7 @@ from dataclasses import replace
 SEED = 0
 SHARDS = 2
 #: The durable run may cost at most this factor over the in-memory fan-out
-#: (fsync'd journal appends + one atomic checkpoint per entity).
+#: (journal fsyncs + atomic checkpoints, at most one of each per loop turn).
 MAX_CHECKPOINT_OVERHEAD = 1.10
 
 pytestmark = pytest.mark.parallel
@@ -88,10 +89,11 @@ def test_checkpoint_overhead_vs_entity_fanout(tmp_path):
         "suite": "orchestration",
         "description": (
             f"Budget-{config.budget_per_entity} sweep over {len(problems)} "
-            f"books: durable orchestrator ({SHARDS} shards, fsync'd journal "
-            "+ per-entity atomic checkpoints) vs the in-memory entity "
-            "fan-out on the same shard count.  Curves are asserted "
-            "identical; 'overhead' is the durability tax on wall-clock."
+            f"books: durable orchestrator ({SHARDS} shards, journal fsync "
+            "+ atomic checkpoint group-committed once per loop turn) vs the "
+            "in-memory entity fan-out on the same shard count.  Curves are "
+            "asserted identical; 'overhead' is the durability tax on "
+            "wall-clock."
         ),
         "entities": len(problems),
         "budget_per_entity": config.budget_per_entity,

@@ -6,21 +6,23 @@ processes runs one entity trajectory at a time (the exact
 :func:`~repro.evaluation.experiment.run_entity_trajectory` unit the in-memory
 fan-out uses, with the same per-entity seed derivation), and every completed
 entity is journalled to an append-only JSON-lines file inside a per-run
-directory before the sweep moves on.  Checkpoints are written atomically
-(tmp file + fsync + rename), so a SIGKILL at any instruction leaves the run
-directory either at the previous durable state or the next — never in
-between — and ``crowdfusion experiment --run-dir D --resume`` replays the
-journal, skips completed entities, re-enqueues in-flight ones and produces a
-curve bit-identical to an undisturbed run.
+directory.  Durability is group-committed once per loop turn: one fsync per
+journal written since the last commit, then at most one checkpoint, written
+atomically (tmp file + fsync + rename) and only after the records it
+reflects are durable.  A SIGKILL at any instruction loses only the entities
+in flight; a power loss also loses the results that arrived in the current
+loop turn.  Either way ``crowdfusion experiment --run-dir D --resume``
+replays the journal, skips completed entities, re-enqueues the rest and
+produces a curve bit-identical to an undisturbed run.
 
 Layout of a run directory::
 
     run.json        manifest: config fingerprint, entity ids, budgets
     journal.jsonl   append-only event log (started / entity_done /
-                    entity_failed / quarantined), fsync'd per record
+                    entity_failed / quarantined), fsync'd once per loop turn
     checkpoint.json atomic progress snapshot (completed / quarantined /
-                    pending), rewritten after every entity
-    curve.jsonl     streamed curve points of the finished sweep
+                    pending), rewritten at most once per loop turn
+    curve.jsonl     curve points of the finished sweep, fsync'd once
     lock            pid lock (stale locks from dead pids are taken over)
 
 A sweep can also span hosts: :func:`run_cluster_experiment` runs the same
@@ -29,7 +31,8 @@ ranges to shard workers (``crowdfusion shard-worker --connect``), fences
 dead or zombie leases with monotonically increasing epochs, and adds::
 
     leases.json           the fencing epoch, rewritten atomically when it changes
-    journal-<worker>.jsonl  accepted entity_done records, per worker
+    journal-<worker>.jsonl  accepted entity_done records, per worker,
+                            fsync'd once per loop turn
 
 Worker journals are merged deterministically on resume and assembly
 (:func:`merge_journals`), so a migrated or reassigned sweep's curve stays

@@ -8,6 +8,11 @@ goes silent is **indistinguishable from a partitioned one that is still
 computing**.  The coordinator therefore never trusts silence and never
 trusts late arrivals:
 
+* **No Nagle stalls.**  Both ends set ``TCP_NODELAY`` on the sockets they
+  make (the coordinator's accepted ones, the worker's dialed one): a worker
+  streams a lease's results as small back-to-back lines with no reply in
+  between, which Nagle's algorithm would otherwise hold for the peer's
+  delayed ACK.
 * **Leases, not dispatches.**  Work moves as leases of contiguous
   entity-index ranges.  A lease is alive only while heartbeats keep arriving
   within ``lease_ttl_s``; the worker's heartbeat pump beats from a separate
@@ -25,12 +30,17 @@ trusts late arrivals:
   before granting anything, so results addressed to its predecessor are
   equally dead on arrival.
 * **Per-worker journals, merged deterministically.**  Accepted
-  ``entity_done`` records land in ``journal-<worker>.jsonl`` (fsync per
-  record); coordinator decisions (grants, expiries, rejections, failures,
-  quarantines) land in ``journal.jsonl``.  Resume and assembly read the
-  whole set through :func:`~repro.orchestration.journal.merge_journals`,
-  whose per-journal torn-tail rule and payload-conflict check keep the
-  bit-identity guarantee: a migrated, resumed, or reassigned sweep produces
+  ``entity_done`` records land in ``journal-<worker>.jsonl``; coordinator
+  decisions (grants, expiries, rejections, failures, quarantines) land in
+  ``journal.jsonl``.  Each loop turn group-commits them — after idle
+  workers get their next lease, before the wait for sockets — with one
+  fsync per written journal and then at most one checkpoint, so a
+  coordinator crash loses at most the leases in flight plus (on power
+  loss) the results that arrived in the current turn, all re-run from
+  their per-entity seeds.  Resume and assembly read the whole set through
+  :func:`~repro.orchestration.journal.merge_journals`, whose per-journal
+  torn-tail rule and payload-conflict check keep the bit-identity
+  guarantee: a migrated, resumed, or reassigned sweep produces
   a ``curve.jsonl`` byte-identical to an undisturbed single-host run,
   because every path converges on the same per-entity seeds and the same
   :func:`~repro.orchestration.orchestrator.assemble_result`.
@@ -310,6 +320,7 @@ class _Coordinator:
             sock, _address = self.listener.accept()
         except OSError:  # pragma: no cover - raced a dying client
             return
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
         conn = _Conn(sock)
         self.selector.register(sock, selectors.EVENT_READ, conn)
@@ -600,13 +611,18 @@ class _Coordinator:
                 pool.join()
 
     def _step(self) -> None:
-        """One loop turn: grant, serve ready sockets, fence expired leases."""
+        """One loop turn: grant, commit, serve ready sockets, fence expired leases.
+
+        The commit sits between the grants and the wait, so its fsyncs
+        overlap the workers' compute.
+        """
         now = time.monotonic()
         self._grant_leases(now)
+        self.state.commit()
         timeout = 0.2
         if self.active:
             nearest = min(lease.deadline for lease in self.active.values())
-            timeout = min(timeout, max(0.0, nearest - now))
+            timeout = min(timeout, max(0.0, nearest - time.monotonic()))
         for key, _events in self.selector.select(timeout):
             if key.data is None:
                 self._accept()

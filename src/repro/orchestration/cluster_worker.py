@@ -108,10 +108,10 @@ class _HeartbeatPump:
 
 
 def _connect(host: str, port: int, deadline: float) -> socket.socket:
-    """Dial the coordinator, retrying until ``deadline``."""
+    """Dial the coordinator with Nagle off, retrying until ``deadline``."""
     while True:
         try:
-            return socket.create_connection((host, port), timeout=5.0)
+            sock = socket.create_connection((host, port), timeout=5.0)
         except OSError as error:
             if time.monotonic() >= deadline:
                 raise OrchestrationError(
@@ -119,6 +119,11 @@ def _connect(host: str, port: int, deadline: float) -> socket.socket:
                     f"within the reconnect window: {error}"
                 )
             time.sleep(_CONNECT_RETRY_S)
+            continue
+        # Results go out as small back-to-back lines; without TCP_NODELAY
+        # each one after the first waits for the coordinator's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
 
 
 def run_shard_worker(

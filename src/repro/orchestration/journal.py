@@ -4,10 +4,14 @@ Three durability building blocks, shared by the experiment orchestrator and
 the service session snapshot store:
 
 * :class:`JournalWriter` / :func:`read_records` — an append-only JSON-lines
-  event log.  Every append is flushed and ``fsync``'d before the caller
-  proceeds, so a record either made it to disk whole or the reader sees (at
-  most) one torn trailing line, which it silently drops — exactly the state
-  a crash between ``write`` and ``fsync`` can leave behind.
+  event log with group commit.  ``append`` hands each record to the OS in
+  one write and returns without an ``fsync``; ``sync`` makes everything
+  appended so far durable with one ``fsync``, and ``close`` syncs too.  A
+  process crash therefore loses nothing that was appended; a power loss
+  loses at most the records appended since the last ``sync``, and may tear
+  the last of them.  A record is whole only once its newline is on disk:
+  the reader drops an unterminated trailing line, and the writer cuts it
+  off before appending again, so a torn tail never ends up mid-file.
 * :func:`atomic_write_json` / :func:`read_json` — tmp-write, fsync, rename,
   directory-fsync checkpoints.  ``rename`` is atomic on POSIX, so a reader
   observes either the previous checkpoint or the new one, never a torn file;
@@ -64,23 +68,35 @@ def _encode(record: Dict[str, Any]) -> str:
 
 
 class JournalWriter:
-    """Append-only, fsync-per-record JSON-lines journal."""
+    """Append-only JSON-lines journal, made durable by :meth:`sync`."""
 
     def __init__(self, path: str) -> None:
         self.path = path
+        _cut_torn_tail(path)
         self._handle = open(path, "a", encoding="utf-8")
+        self._dirty = False
 
     def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record; raises ``OSError`` on a full disk."""
+        """Write one record through to the OS; durable at the next :meth:`sync`.
+
+        Raises ``OSError`` on a full disk.
+        """
         directive = faults.fire("journal_append", path=self.path)
         if directive == "enospc":
             raise OSError(errno.ENOSPC, "No space left on device (injected)")
         self._handle.write(_encode(record) + "\n")
         self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._dirty = True
+
+    def sync(self) -> None:
+        """``fsync`` every record appended since the last sync (no-op when none)."""
+        if self._dirty:
+            os.fsync(self._handle.fileno())
+            self._dirty = False
 
     def close(self) -> None:
         if not self._handle.closed:
+            self.sync()
             self._handle.close()
 
     def __enter__(self) -> "JournalWriter":
@@ -88,6 +104,22 @@ class JournalWriter:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _cut_torn_tail(path: str) -> None:
+    """Truncate ``path`` after its last newline, dropping a torn final line.
+
+    Appending after an unterminated fragment would glue the next record onto
+    it and turn a tolerated torn tail into mid-file corruption.
+    """
+    try:
+        handle = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with handle:
+        data = handle.read()
+        if not data.endswith(b"\n"):
+            handle.truncate(data.rfind(b"\n") + 1)
 
 
 def read_records(path: str) -> List[Dict[str, Any]]:
@@ -102,10 +134,9 @@ def read_records(path: str) -> List[Dict[str, Any]]:
         return []
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().split("\n")
-    # A well-formed journal ends with a newline, so the final split element
-    # is empty; anything else is the torn tail of an interrupted append.
-    if lines and lines[-1] == "":
-        lines.pop()
+    # A whole record ends with its newline, so the final split element is
+    # empty or the unterminated (torn) tail of an interrupted append.
+    lines.pop()
     records: List[Dict[str, Any]] = []
     for position, line in enumerate(lines):
         try:

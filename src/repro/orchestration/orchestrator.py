@@ -3,10 +3,13 @@
 :func:`run_checkpointed_experiment` shards entity trajectories across a
 supervised pool of fork-context worker processes and journals every
 completed entity — curve-relevant floats, RNG-seed provenance, attempt
-counts — to a per-run directory before moving on.  The journal is the
-source of truth: resuming replays it, keeps every completed entity verbatim
-(JSON floats round-trip exactly), re-enqueues entities that were in flight
-when the process died, and hands the merged trajectory set to the same
+counts — to a per-run directory.  Durability is group-committed: once per
+loop turn :meth:`_RunState.commit` fsyncs each journal written since the
+last commit and then, if the ledger moved, writes one checkpoint.  The
+journal is the source of truth: resuming replays it, keeps every completed
+entity verbatim (JSON floats round-trip exactly), re-enqueues entities that
+were in flight or not yet committed when the process died, and hands the
+merged trajectory set to the same
 :func:`~repro.evaluation.experiment.assemble_curve` the in-memory fan-out
 uses — so a resumed sweep's curve is bit-identical to an undisturbed one.
 
@@ -272,10 +275,12 @@ class _RunState:
     """The sweep ledger: every per-entity decision of one run, journalled.
 
     It holds the pending queue (served lowest index first by :meth:`take`)
-    and the attempt counters, and writes the records and checkpoints of
-    each outcome: :meth:`done`, :meth:`fail` (re-enqueue at once, or
-    quarantine at ``max_attempts``) and, on resume, :meth:`replay`.  As a
-    context manager it holds the run journal and worker journals open.
+    and the attempt counters, and journals each outcome: :meth:`done`,
+    :meth:`fail` (re-enqueue at once, or quarantine at ``max_attempts``)
+    and, on resume, :meth:`replay`.  Records are written through to the OS
+    at once but made durable only by :meth:`commit`, the one group commit
+    the drivers call per loop turn.  As a context manager it holds the run
+    journal and worker journals open.
     """
 
     def __init__(
@@ -299,6 +304,8 @@ class _RunState:
         self.queue: List[int] = list(range(len(problems)))
         self.journal: Optional[JournalWriter] = None
         self._worker_journals: Dict[str, JournalWriter] = {}
+        #: Completed or quarantined set changed since the last checkpoint.
+        self._moved = False
 
     def __enter__(self) -> "_RunState":
         self.journal = JournalWriter(os.path.join(self.run_dir, JOURNAL_NAME))
@@ -332,7 +339,19 @@ class _RunState:
             if index not in self.completed and index not in self.quarantined
         ]
 
+    def commit(self) -> None:
+        """Group commit: fsync each written journal once, then checkpoint once.
+
+        The checkpoint is written only when the ledger moved since the last
+        one, and only after the records it reflects are durable.
+        """
+        for writer in [self.journal, *self._worker_journals.values()]:
+            writer.sync()
+        if self._moved:
+            self.checkpoint()
+
     def checkpoint(self, status: str = "running") -> None:
+        self._moved = False
         atomic_write_json(
             os.path.join(self.run_dir, CHECKPOINT_NAME),
             {
@@ -367,7 +386,7 @@ class _RunState:
         trajectory: Dict[str, Any],
         worker: Optional[str] = None,
     ) -> None:
-        """Journal a completed entity, then checkpoint.
+        """Journal a completed entity; durable at the next :meth:`commit`.
 
         A result from a named cluster ``worker`` lands in that worker's journal.
         """
@@ -380,7 +399,7 @@ class _RunState:
             record["worker"] = worker
             self._worker_journal(worker).append(record)
         self.completed[index] = record
-        self.checkpoint()
+        self._moved = True
 
     def fail(self, index: int, attempt: int, error: str) -> None:
         """Charge a failed attempt: re-enqueue, or quarantine at ``max_attempts``."""
@@ -407,7 +426,7 @@ class _RunState:
         }
         self.log(record)
         self.quarantined[index] = record
-        self.checkpoint()
+        self._moved = True
 
     def _worker_journal(self, worker: str) -> JournalWriter:
         name = _safe_worker_name(worker)
@@ -432,9 +451,10 @@ def run_sweep(
     """Open a run directory, let ``drive`` work off its queue, assemble the curve.
 
     Lock, manifest check, replay of every journal into a fresh ledger,
-    ``drive`` (which returns once every entity is completed or quarantined),
-    final checkpoint, then the curve from the completed entities in index
-    order — quarantined entities and their gold are excluded.
+    ``drive`` (which returns once every entity is completed or quarantined
+    and commits once per loop turn), a last commit and the final
+    checkpoint, then the curve from the completed entities in index order —
+    quarantined entities and their gold are excluded.
     """
     if not problems:
         raise OrchestrationError("cannot orchestrate an empty problem list")
@@ -455,6 +475,7 @@ def run_sweep(
             if state.queue:
                 state.checkpoint()
             drive(state, budget_overrides)
+            state.commit()
             state.checkpoint("complete")
         result, quarantined = assemble_result(state, stream)
         return OrchestratorReport(
@@ -561,13 +582,19 @@ def run_checkpointed_experiment(
     """Run (or resume) a durable sharded sweep and return its curve.
 
     The sweep is driven as a work queue: each idle shard takes the lowest
-    pending entity index, a ``started`` journal record lands before the
-    dispatch, and an ``entity_done`` record (with the trajectory and its
-    RNG-seed provenance) plus an atomic checkpoint land before the next
-    dispatch from the queue.  Killing this process at *any* point and
-    calling again with ``resume=True`` therefore loses at most the entities
-    that were mid-flight — which are re-run from their per-entity seeds,
-    producing the exact floats the lost run would have.
+    pending entity index (a ``started`` journal record precedes the
+    dispatch), and each result is journalled as an ``entity_done`` record
+    with the trajectory and its RNG-seed provenance.  Once per loop turn —
+    after the idle shards have their next entity, before the blocking wait —
+    the ledger group-commits: one fsync per written journal, then one
+    atomic checkpoint, so the parent's fsyncs overlap the shards' compute.
+
+    Killing this process at *any* point and calling again with
+    ``resume=True`` loses at most the entities that were mid-flight (every
+    record is in the OS before ``append`` returns); a power loss also loses
+    the results that arrived in the current loop turn.  Either way the lost
+    entities are re-run from their per-entity seeds, producing the exact
+    floats the lost run would have.
     """
     if not fork_available():
         raise OrchestrationError(
@@ -623,6 +650,7 @@ def _run_pending(
                     shard.connection.send(index)
                     shard.current = (index, attempt)
 
+                state.commit()
                 busy = pool.busy()
                 ready = _wait_connections(
                     [shard.connection for shard in busy], timeout=0.2

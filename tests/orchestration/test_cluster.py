@@ -24,6 +24,7 @@ from repro.evaluation.experiment import ExperimentConfig
 from repro.exceptions import OrchestrationError
 from repro.fusion import ModifiedCRH
 from repro.orchestration import ClusterConfig, run_cluster_experiment
+from repro.orchestration import cluster as cluster_module
 from repro.orchestration import wire
 from repro.orchestration.cluster import (
     LEASES_NAME,
@@ -322,6 +323,36 @@ class TestFencingAndDelivery:
             if record["type"] == "entity_done"
         ]
         assert all(record["worker"] == "right-sweep" for record in done)
+
+
+class TestLeaseWire:
+    def test_both_ends_of_the_lease_wire_disable_nagle(
+        self, problems, tmp_path, monkeypatch
+    ):
+        # Results stream as small back-to-back lines with no reply in
+        # between; with Nagle on, each waits for the peer's delayed ACK.
+        nodelay = {"coordinator": [], "worker": []}
+        conn_init = cluster_module._Conn.__init__
+        stream_init = wire.MessageStream.__init__
+
+        def recording_conn_init(self, sock):
+            option = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            nodelay["coordinator"].append(option)
+            conn_init(self, sock)
+
+        def recording_stream_init(self, sock, *args, **kwargs):
+            option = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            nodelay["worker"].append(option)
+            stream_init(self, sock, *args, **kwargs)
+
+        monkeypatch.setattr(cluster_module._Conn, "__init__", recording_conn_init)
+        monkeypatch.setattr(wire.MessageStream, "__init__", recording_stream_init)
+        report, errors = run_with_thread_workers(
+            problems, CONFIG, cluster_config(tmp_path, lease_entities=3), workers=2
+        )
+        assert errors == []
+        assert report.completed == len(problems)
+        assert nodelay == {"coordinator": [1, 1], "worker": [1, 1]}
 
 
 class TestExpiryFencing:

@@ -1,7 +1,7 @@
 """Durability primitives: journal appends, atomic checkpoints, run locks.
 
 These are the building blocks every crash-recovery guarantee rests on, so
-they are pinned directly: fsync'd appends tolerate (exactly) a torn trailing
+they are pinned directly: journals tolerate (exactly) a torn trailing
 line, checkpoints are all-or-nothing through the tmp+rename protocol, and
 stale locks from dead pids are taken over while live locks refuse access.
 The disk-fault injectors (ENOSPC, torn write, stale lock) are exercised
@@ -64,6 +64,17 @@ class TestJournal:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"type": "c", "tr')  # crash mid-append
         assert read_records(path) == [{"type": "a"}, {"type": "b"}]
+
+    def test_reopening_cuts_the_torn_tail_before_appending(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        with JournalWriter(path) as journal:
+            journal.append({"type": "a"})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "b"}')  # newline lost: not a whole record
+        assert read_records(path) == [{"type": "a"}]
+        with JournalWriter(path) as journal:
+            journal.append({"type": "c"})
+        assert read_records(path) == [{"type": "a"}, {"type": "c"}]
 
     def test_mid_file_corruption_raises(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")

@@ -4,9 +4,11 @@ The orchestrator's shard pool and the cluster coordinator delegate every
 per-entity decision to :class:`~repro.orchestration.orchestrator._RunState`.
 It is driven here directly, with no processes or sockets, and each decision
 (re-enqueue, quarantine, completion, replay, contiguous take) is checked
-against the journal records and checkpoints it must write.
+against the journal records and checkpoints it must write, and against
+the one group commit that makes them durable.
 """
 
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -32,14 +34,35 @@ TRAJECTORY = {
 
 
 @pytest.fixture
-def events(tmp_path, monkeypatch):
+def fsyncs(tmp_path, monkeypatch):
+    """Every journal fsync as ``(file name, record types it made durable)``.
+
+    Checkpoint and directory fsyncs are not listed.
+    """
+    seen = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        fsync(fd)
+        inode = os.fstat(fd).st_ino
+        for path in sorted(tmp_path.glob("journal*.jsonl")):
+            if path.stat().st_ino == inode:
+                types = [record["type"] for record in read_records(str(path))]
+                seen.append((path.name, types))
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    return seen
+
+
+@pytest.fixture
+def events(monkeypatch, fsyncs):
     """Every checkpoint write, with the journal record types durable at that moment."""
     seen = []
     write = orchestrator.atomic_write_json
 
     def recording_write(path, payload):
-        journal = read_records(str(tmp_path / JOURNAL_NAME))
-        seen.append((payload["status"], [record["type"] for record in journal]))
+        synced = [types for name, types in fsyncs if name == JOURNAL_NAME]
+        seen.append((payload["status"], synced[-1] if synced else []))
         write(path, payload)
 
     monkeypatch.setattr(orchestrator, "atomic_write_json", recording_write)
@@ -84,6 +107,8 @@ def test_quarantine_at_max_attempts_writes_failed_then_quarantined(tmp_path, eve
         assert state.take() == [(0, 2)]
         state.fail(0, 2, "boom again")
         assert journal_types(tmp_path)[before:] == ["entity_failed", "quarantined"]
+        assert events == []  # checkpoints wait for the commit
+        state.commit()
         assert events == [
             ("running", ["entity_failed", "entity_failed", "quarantined"])
         ]
@@ -97,6 +122,7 @@ def test_entity_done_appends_then_checkpoints(tmp_path, events):
     with ledger(tmp_path) as state:
         state.take()
         state.done(0, 1, TRAJECTORY)
+        state.commit()
     # The checkpoint was written only once the record was durable.
     assert events == [("running", ["entity_done"])]
     record = read_records(str(tmp_path / JOURNAL_NAME))[0]
@@ -112,10 +138,48 @@ def test_a_worker_result_lands_in_that_workers_journal(tmp_path, events):
     with ledger(tmp_path) as state:
         state.take()
         state.done(0, 1, TRAJECTORY, worker="local/0")
+        state.commit()
     assert journal_types(tmp_path) == []
     records = read_records(str(tmp_path / "journal-local_0.jsonl"))
     assert [record["worker"] for record in records] == ["local/0"]
     assert events == [("running", [])]
+
+
+def test_commit_syncs_each_written_journal_once_then_checkpoints_once(
+    tmp_path, events, fsyncs
+):
+    with ledger(tmp_path, max_attempts=1) as state:
+        assert state.take(3) == [(0, 1), (1, 1), (2, 1)]
+        state.done(0, 1, TRAJECTORY)
+        state.done(1, 1, TRAJECTORY, worker="local/0")
+        state.fail(2, 1, "boom")  # max_attempts=1: quarantined at once
+        # Outcomes are written, not yet durable: no fsync, no checkpoint.
+        written = ["entity_done", "entity_failed", "quarantined"]
+        assert journal_types(tmp_path) == written
+        assert fsyncs == []
+        assert events == []
+
+        state.commit()
+        assert [name for name, _ in fsyncs] == [JOURNAL_NAME, "journal-local_0.jsonl"]
+        assert events == [("running", written)]
+
+        # Nothing written since: the next commit fsyncs and checkpoints nothing.
+        state.commit()
+        assert len(fsyncs) == 2
+        assert len(events) == 1
+
+        # A retry journals a record but leaves the checkpoint as it was.
+        state.max_attempts = 3
+        assert state.take() == [(3, 1)]
+        state.fail(3, 1, "boom")
+        state.commit()
+        assert [name for name, _ in fsyncs[2:]] == [JOURNAL_NAME]
+        assert len(events) == 1
+    assert len(fsyncs) == 3  # close() found nothing left to sync
+    checkpoint = read_json(str(tmp_path / CHECKPOINT_NAME))
+    assert checkpoint["completed"] == [0, 1]
+    assert checkpoint["quarantined"] == [2]
+    assert checkpoint["pending"] == [3, 4, 5]
 
 
 @pytest.mark.parametrize("timestamped", [False, True])

@@ -26,6 +26,7 @@ from repro.orchestration import (
 from repro.orchestration.journal import atomic_write_json, read_json, read_records
 from repro.orchestration.orchestrator import (
     CHECKPOINT_NAME,
+    CURVE_NAME,
     JOURNAL_NAME,
     MANIFEST_NAME,
 )
@@ -132,6 +133,32 @@ class TestRunDirectory:
         assert checkpoint["completed"] == list(range(len(problems)))
         assert checkpoint["pending"] == []
 
+    def test_journals_are_group_committed(self, problems, tmp_path, monkeypatch):
+        run_dir = str(tmp_path / "run")
+        synced = {JOURNAL_NAME: 0, CURVE_NAME: 0}
+        fsync = os.fsync
+
+        def counting_fsync(fd):
+            inode = os.fstat(fd).st_ino
+            for name in synced:
+                path = os.path.join(run_dir, name)
+                if os.path.exists(path) and os.stat(path).st_ino == inode:
+                    synced[name] += 1
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        report = run_checkpointed_experiment(
+            problems, CONFIG, OrchestratorConfig(run_dir=run_dir, shards=2)
+        )
+        assert report.completed == len(problems)
+        # At most one commit per loop turn, and a turn follows each result:
+        # one journal fsync per entity plus the first turn's, not one per
+        # record (started + entity_done).
+        assert 1 <= synced[JOURNAL_NAME] <= len(problems) + 1
+        # The curve is written whole and synced once, on close.
+        assert len(report.result.points) > 1
+        assert synced[CURVE_NAME] == 1
+
     def test_populated_run_dir_refused_without_resume(self, problems, tmp_path):
         run_dir = str(tmp_path / "run")
         orch = OrchestratorConfig(run_dir=run_dir, shards=2)
@@ -214,6 +241,45 @@ class TestResume:
         assert resumed.resumed == 2
         assert resumed.completed == len(problems)
         assert_identical_curves(undisturbed.result, resumed.result)
+
+    def test_power_loss_before_the_last_commit_resumes_bit_identical(
+        self, problems, tmp_path
+    ):
+        run_dir = str(tmp_path / "run")
+        run_checkpointed_experiment(
+            problems, CONFIG, OrchestratorConfig(run_dir=run_dir, shards=2)
+        )
+        curve_path = os.path.join(run_dir, CURVE_NAME)
+        with open(curve_path, "rb") as handle:
+            undisturbed = handle.read()
+
+        # A power loss before the last commit loses the records appended
+        # since the previous one and may tear the first of them: keep the
+        # journal up to the second-to-last entity_done, plus half of it.
+        journal_path = os.path.join(run_dir, JOURNAL_NAME)
+        with open(journal_path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        done_at = [i for i, line in enumerate(lines) if b'"entity_done"' in line]
+        cut = done_at[-2]
+        with open(journal_path, "wb") as handle:
+            handle.write(b"".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2])
+        os.unlink(curve_path)
+
+        resumed = run_checkpointed_experiment(
+            problems, CONFIG, OrchestratorConfig(run_dir=run_dir, shards=2, resume=True)
+        )
+        assert resumed.resumed == len(problems) - 2
+        with open(curve_path, "rb") as handle:
+            assert handle.read() == undisturbed
+        # The torn fragment was cut off before the resume appended after
+        # it, so the journal reads back whole and a further resume is a
+        # pure replay.
+        again = run_checkpointed_experiment(
+            problems, CONFIG, OrchestratorConfig(run_dir=run_dir, shards=2, resume=True)
+        )
+        assert again.resumed == len(problems)
+        with open(curve_path, "rb") as handle:
+            assert handle.read() == undisturbed
 
     def test_resume_of_a_complete_run_recomputes_nothing(self, problems, tmp_path):
         run_dir = str(tmp_path / "run")
